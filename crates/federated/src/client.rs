@@ -20,22 +20,12 @@ pub struct ModelUpdate {
     pub num_samples: u64,
 }
 
-/// A straggler's update that arrived one or more rounds after the round it
-/// was trained in.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StaleUpdate {
-    /// The late model update.
-    pub update: ModelUpdate,
-    /// The round the update was trained in (staleness = current − origin).
-    pub origin_round: u64,
-}
-
 /// A device participating in federated optimization.
 ///
-/// The fallible/fault-aware methods (`begin_round`, `is_online`,
-/// `try_upload`, `try_download`, `take_stale`) have pass-through default
-/// implementations, so reliable clients only implement the core methods;
-/// fault injection lives at the transport layer ([`crate::FaultyTransport`]).
+/// `begin_round` and `try_download` have pass-through default
+/// implementations, so reliable clients only implement the core methods.
+/// Faults — outages, dropped or late uploads, lost broadcasts — live at
+/// the transport layer ([`crate::FaultyTransport`]), never in the client.
 ///
 /// Training goes through [`FederatedClient::train_round_with`], which
 /// borrows a per-worker [`FederatedClient::Workspace`] so the steady-state
@@ -98,41 +88,20 @@ pub trait FederatedClient: Send {
         self.transfer_bytes()
     }
 
-    /// Notifies the client that federated round `round` (1-based) begins.
-    /// Fault-injecting clients use this to advance their fault schedule.
+    /// Notifies the client that federated round `round` (1-based) begins,
+    /// before it trains.
     fn begin_round(&mut self, _round: u64) {}
-
-    /// Whether the device is reachable this round. Offline (crashed)
-    /// clients are skipped entirely: no training, uploads, or downloads.
-    fn is_online(&self) -> bool {
-        true
-    }
-
-    /// Attempts to upload this round's model update.
-    ///
-    /// # Errors
-    ///
-    /// Implementations may fail with [`FedError::UploadDropped`] (lost in
-    /// transit, worth retrying), [`FedError::Straggling`] (will arrive late
-    /// via [`FederatedClient::take_stale`]), or [`FedError::ClientOffline`].
-    fn try_upload(&mut self) -> Result<ModelUpdate, FedError> {
-        Ok(self.upload())
-    }
 
     /// Attempts to install the new global model.
     ///
     /// # Errors
     ///
-    /// Implementations may fail with [`FedError::DownloadDropped`] (the
-    /// client keeps its previous parameters) or [`FedError::ClientOffline`].
+    /// Implementations fail with [`FedError::ShapeMismatch`] when the
+    /// model does not fit the client's architecture; the client keeps its
+    /// previous parameters.
     fn try_download(&mut self, global: &[f32]) -> Result<(), FedError> {
         self.download(global);
         Ok(())
-    }
-
-    /// Hands over a straggler update whose delay has elapsed, if any.
-    fn take_stale(&mut self) -> Option<StaleUpdate> {
-        None
     }
 
     /// Emits the client's round-granularity telemetry counters after a

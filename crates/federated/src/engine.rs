@@ -1,14 +1,15 @@
 //! The sans-I/O round engine: every *protocol decision* of a federated
 //! round — admission, staleness weighting, quorum, commit, reference
-//! tracking — as a frame-in/action-out state machine with no I/O, no
+//! tracking — as a frame-in/telemetry-out state machine with no I/O, no
 //! clock, and no client objects.
 //!
 //! [`RoundEngine::handle`] consumes one [`Frame`] (something that
 //! happened: an upload arrived, a broadcast was delivered, the round
-//! closed) and returns the [`Action`]s the driver must perform (emit a
-//! telemetry event, record a counter, store the round's divergence).
-//! Drivers own everything physical: training, transport links, retries,
-//! RNG, wall-clock spans, thread pools. Three drivers share the engine:
+//! closed) and records the telemetry events and counters it implies
+//! straight into the caller's [`Recorder`]; the round's client drift is
+//! read back through [`RoundEngine::divergence`]. Drivers own everything
+//! physical: training, transport links, retries, RNG, wall-clock spans,
+//! thread pools. Three drivers share the engine:
 //!
 //! * [`crate::Federation`] — the in-process flat loop (frames derived
 //!   from owned clients and per-client links);
@@ -34,7 +35,7 @@ use crate::server::{
     AggregationServer, AggregationStrategy, RoundAccumulator, ServerOpt, ServerOptKind,
 };
 use crate::wire;
-use fedpower_telemetry::{Counter, Event, EventKind};
+use fedpower_telemetry::{Counter, Event, EventKind, Recorder};
 use std::collections::BTreeSet;
 
 /// The protocol-level configuration a [`RoundEngine`] enforces — the
@@ -194,19 +195,6 @@ pub enum Frame {
     EndRound,
 }
 
-/// What a driver must do in response to a [`Frame`] — the engine's only
-/// output channel.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Action {
-    /// Emit this event through the driver's telemetry choke point
-    /// (report + transport stats + recorder).
-    Emit(Event),
-    /// Record this counter (recorder only — counters bypass reports).
-    Count(Counter),
-    /// Store this round's client-divergence metric in the round report.
-    Divergence(f32),
-}
-
 /// The sans-I/O federated round state machine. See the module docs.
 #[derive(Debug)]
 pub struct RoundEngine {
@@ -228,6 +216,8 @@ pub struct RoundEngine {
     pending: BTreeSet<usize>,
     /// Remaining deadline ticks for the open round.
     deadline: Option<u32>,
+    /// Client drift of the last closed round.
+    divergence: f32,
 }
 
 impl RoundEngine {
@@ -256,6 +246,7 @@ impl RoundEngine {
             rounds_run: 0,
             pending: BTreeSet::new(),
             deadline: None,
+            divergence: 0.0,
         };
         // The join handshake is round 0: its θ₁ is the first top-k
         // reference.
@@ -281,6 +272,14 @@ impl RoundEngine {
     /// Rounds completed so far (incremented at [`Frame::EndRound`]).
     pub fn rounds_run(&self) -> u64 {
         self.rounds_run
+    }
+
+    /// Client drift of the last closed round (the root-mean-square L2
+    /// distance of its admitted models from their mean; see
+    /// [`crate::report::RoundReport::client_divergence`]). Set by
+    /// [`Frame::CloseRound`]; 0 before the first close.
+    pub fn divergence(&self) -> f32 {
+        self.divergence
     }
 
     /// Rounds that actually committed (aggregated) so far.
@@ -428,23 +427,23 @@ impl RoundEngine {
         self.pending.remove(&slot);
     }
 
-    /// Consumes one frame and returns the driver's obligations, in the
-    /// exact order the pre-engine drivers performed them.
-    pub fn handle(&mut self, frame: Frame) -> Vec<Action> {
+    /// Consumes one frame, recording the events and counters it implies
+    /// into `out` in the exact order the pre-engine drivers emitted them.
+    pub fn handle(&mut self, frame: Frame, out: &mut dyn Recorder) {
+        let round = self.rounds_run + 1;
         match frame {
             Frame::Join { client, frame_len } => {
                 // A (re)joining client installs the last broadcast
                 // global, so its reference is the last completed round.
                 self.client_refs[client] = Some(self.rounds_run);
-                vec![Action::Emit(Event::with_bytes(
+                out.event(Event::with_bytes(
                     EventKind::DownloadDelivered,
                     self.rounds_run,
                     self.id(client),
                     frame_len,
-                ))]
+                ));
             }
             Frame::BeginRound => {
-                let round = self.rounds_run + 1;
                 self.acc = Some(self.server.accumulator());
                 if let Some(ticks) = self.policy.deadline_ticks {
                     self.deadline = Some(ticks);
@@ -452,56 +451,37 @@ impl RoundEngine {
                         .filter(|&s| self.client_refs[s].is_some())
                         .collect();
                 }
-                vec![
-                    Action::Emit(Event::round_scoped(EventKind::RoundStart, round)),
-                    Action::Count(Counter::new(
-                        "optimizer",
-                        round,
-                        None,
-                        self.policy.optimizer.kind().code(),
-                    )),
-                ]
+                out.event(Event::round_scoped(EventKind::RoundStart, round));
+                out.counter(Counter::new(
+                    "optimizer",
+                    round,
+                    None,
+                    self.policy.optimizer.kind().code(),
+                ));
             }
             Frame::Offline { client } => {
                 self.resolve(client);
-                vec![Action::Emit(Event::client_scoped(
-                    EventKind::ClientOffline,
-                    self.rounds_run + 1,
-                    self.id(client),
-                ))]
+                self.client_event(out, EventKind::ClientOffline, client);
             }
-            Frame::Trained { client } => vec![Action::Emit(Event::client_scoped(
-                EventKind::ClientTrained,
-                self.rounds_run + 1,
-                self.id(client),
-            ))],
+            Frame::Trained { client } => self.client_event(out, EventKind::ClientTrained, client),
             Frame::TrainPanicked { client } => {
                 self.resolve(client);
-                vec![Action::Emit(Event::client_scoped(
-                    EventKind::TrainPanic,
-                    self.rounds_run + 1,
-                    self.id(client),
-                ))]
+                self.client_event(out, EventKind::TrainPanic, client);
             }
-            Frame::UploadRetry { client } => vec![Action::Emit(Event::client_scoped(
-                EventKind::UploadRetry,
-                self.rounds_run + 1,
-                self.id(client),
-            ))],
+            Frame::UploadRetry { client } => self.client_event(out, EventKind::UploadRetry, client),
             Frame::Upload {
                 client,
                 sent_len,
                 bytes,
             } => {
                 self.resolve(client);
-                let round = self.rounds_run + 1;
                 let id = self.id(client);
-                let mut actions = vec![Action::Emit(Event::with_bytes(
+                out.event(Event::with_bytes(
                     EventKind::UploadReceived,
                     round,
                     id,
                     sent_len,
-                ))];
+                ));
                 // Codec frames are decoded back to dense before
                 // admission, so the accumulator (and every optimizer or
                 // robust combiner behind it) is codec-agnostic;
@@ -521,73 +501,40 @@ impl RoundEngine {
                 } else {
                     EventKind::UpdateRejected
                 };
-                actions.push(Action::Emit(Event::client_scoped(kind, round, id)));
-                actions
+                out.event(Event::client_scoped(kind, round, id));
             }
             Frame::UploadDropped { client } => {
                 self.resolve(client);
-                vec![Action::Emit(Event::client_scoped(
-                    EventKind::UploadDropped,
-                    self.rounds_run + 1,
-                    self.id(client),
-                ))]
+                self.client_event(out, EventKind::UploadDropped, client);
             }
             Frame::StragglerStarted { client } => {
                 self.resolve(client);
-                vec![Action::Emit(Event::client_scoped(
-                    EventKind::StragglerStarted,
-                    self.rounds_run + 1,
-                    self.id(client),
-                ))]
+                self.client_event(out, EventKind::StragglerStarted, client);
             }
             Frame::StaleUpdate {
                 client,
                 origin_round,
                 update,
             } => {
-                let round = self.rounds_run + 1;
-                let age = round.saturating_sub(origin_round).max(1);
                 let frame_len = self.policy.codec.upload_frame_len(update.params.len());
-                self.admit_stale(client, update, age, frame_len)
-            }
-            Frame::StaleBytes { client, bytes } => {
-                let round = self.rounds_run + 1;
-                let id = self.id(client);
-                let mut actions = vec![Action::Emit(Event::with_bytes(
+                out.event(Event::with_bytes(
                     EventKind::StaleReceived,
                     round,
-                    id,
+                    self.id(client),
+                    frame_len,
+                ));
+                self.admit_stale(client, Ok((origin_round, update)), out);
+            }
+            Frame::StaleBytes { client, bytes } => {
+                out.event(Event::with_bytes(
+                    EventKind::StaleReceived,
+                    round,
+                    self.id(client),
                     bytes.len(),
-                ))];
-                let acc = self.acc.as_mut().expect("a round is open");
-                let applied = match wire::decode_upload_with(
-                    &bytes,
-                    self.policy.max_wire_version,
-                    &self.reference,
-                ) {
-                    Ok((origin_round, update)) => {
-                        let age = round.saturating_sub(origin_round).max(1);
-                        let weight = self.policy.staleness_decay.powi(age as i32);
-                        let ok = acc.admit(update, weight).is_ok();
-                        if ok {
-                            actions.push(Action::Count(Counter::new(
-                                "stale_age",
-                                round,
-                                Some(id),
-                                age,
-                            )));
-                        }
-                        ok
-                    }
-                    Err(_) => false,
-                };
-                let kind = if applied {
-                    EventKind::StaleApplied
-                } else {
-                    EventKind::UpdateRejected
-                };
-                actions.push(Action::Emit(Event::client_scoped(kind, round, id)));
-                actions
+                ));
+                let decoded =
+                    wire::decode_upload_with(&bytes, self.policy.max_wire_version, &self.reference);
+                self.admit_stale(client, decoded, out);
             }
             Frame::MergePartial { partial } => {
                 self.acc
@@ -595,121 +542,103 @@ impl RoundEngine {
                     .expect("a round is open")
                     .merge(partial)
                     .expect("shard accumulators share the root's strategy and shape");
-                Vec::new()
             }
             Frame::CloseRound => {
-                let round = self.rounds_run + 1;
                 let acc = self.acc.take().expect("a round is open");
                 self.deadline = None;
                 self.pending.clear();
-                let divergence = acc.divergence();
+                self.divergence = acc.divergence();
                 let quorum_met = acc.admitted() >= self.policy.min_quorum.max(1);
                 let committed = quorum_met && self.server.commit_round(acc).is_ok();
                 // Whatever goes out this round — committed or unchanged
                 // θ — is the reference the next round's top-k deltas
                 // encode against.
                 self.reference.push(round, self.server.global().to_vec());
-                vec![
-                    Action::Divergence(divergence),
-                    Action::Emit(Event::round_scoped(
-                        if committed {
-                            EventKind::Aggregated
-                        } else {
-                            EventKind::QuorumSkipped
-                        },
-                        round,
-                    )),
-                ]
+                let kind = if committed {
+                    EventKind::Aggregated
+                } else {
+                    EventKind::QuorumSkipped
+                };
+                out.event(Event::round_scoped(kind, round));
             }
             Frame::Delivered { client, frame_len } => {
-                let round = self.rounds_run + 1;
                 self.client_refs[client] = Some(round);
-                vec![Action::Emit(Event::with_bytes(
+                out.event(Event::with_bytes(
                     EventKind::DownloadDelivered,
                     round,
                     self.id(client),
                     frame_len,
-                ))]
+                ));
             }
-            Frame::DownloadRejected { client } => vec![Action::Emit(Event::client_scoped(
-                EventKind::UpdateRejected,
-                self.rounds_run + 1,
-                self.id(client),
-            ))],
-            Frame::DownloadDropped { client } => vec![Action::Emit(Event::client_scoped(
-                EventKind::DownloadDropped,
-                self.rounds_run + 1,
-                self.id(client),
-            ))],
+            Frame::DownloadRejected { client } => {
+                self.client_event(out, EventKind::UpdateRejected, client);
+            }
+            Frame::DownloadDropped { client } => {
+                self.client_event(out, EventKind::DownloadDropped, client);
+            }
             Frame::EndRound => {
-                let round = self.rounds_run + 1;
                 self.rounds_run += 1;
-                vec![Action::Emit(Event::round_scoped(
-                    EventKind::RoundEnd,
-                    round,
-                ))]
+                out.event(Event::round_scoped(EventKind::RoundEnd, round));
             }
         }
     }
 
-    /// One deadline interval elapsed. Returns the actions of closing out
-    /// every still-pending client as offline once the armed budget is
-    /// spent; empty otherwise (including when no deadline is armed).
-    pub fn tick(&mut self) -> Vec<Action> {
+    /// One deadline interval elapsed. Once the armed budget is spent,
+    /// records every still-pending client as offline; records nothing
+    /// otherwise (including when no deadline is armed).
+    pub fn tick(&mut self, out: &mut dyn Recorder) {
         let Some(remaining) = self.deadline else {
-            return Vec::new();
+            return;
         };
         if remaining > 1 {
             self.deadline = Some(remaining - 1);
-            return Vec::new();
+            return;
         }
         self.deadline = None;
-        let expired: Vec<usize> = std::mem::take(&mut self.pending).into_iter().collect();
-        let round = self.rounds_run + 1;
-        expired
-            .into_iter()
-            .map(|slot| {
-                Action::Emit(Event::client_scoped(
-                    EventKind::ClientOffline,
-                    round,
-                    self.id(slot),
-                ))
-            })
-            .collect()
+        for slot in std::mem::take(&mut self.pending) {
+            self.client_event(out, EventKind::ClientOffline, slot);
+        }
     }
 
-    /// The shared stale-admission sequence: receive accounting, ageing,
-    /// staleness-discounted admit, applied/rejected verdict.
+    /// Records a byte-free `kind` event about `slot` in the open round.
+    fn client_event(&self, out: &mut dyn Recorder, kind: EventKind, slot: usize) {
+        out.event(Event::client_scoped(
+            kind,
+            self.rounds_run + 1,
+            self.id(slot),
+        ));
+    }
+
+    /// The shared tail of stale admission, after the receive accounting:
+    /// ageing, staleness-discounted admit, applied/rejected verdict. A
+    /// frame that failed to decode is rejected.
     fn admit_stale(
         &mut self,
         client: usize,
-        update: ModelUpdate,
-        age: u64,
-        frame_len: usize,
-    ) -> Vec<Action> {
+        decoded: Result<(u64, ModelUpdate), FedError>,
+        out: &mut dyn Recorder,
+    ) {
         let round = self.rounds_run + 1;
         let id = self.id(client);
-        let mut actions = vec![Action::Emit(Event::with_bytes(
-            EventKind::StaleReceived,
-            round,
-            id,
-            frame_len,
-        ))];
-        let weight = self.policy.staleness_decay.powi(age as i32);
         let acc = self.acc.as_mut().expect("a round is open");
-        let kind = if acc.admit(update, weight).is_ok() {
-            actions.push(Action::Count(Counter::new(
-                "stale_age",
-                round,
-                Some(id),
-                age,
-            )));
+        let applied = match decoded {
+            Ok((origin_round, update)) => {
+                let age = round.saturating_sub(origin_round).max(1);
+                let weight = self.policy.staleness_decay.powi(age as i32);
+                let ok = acc.admit(update, weight).is_ok();
+                if ok {
+                    out.counter(Counter::new("stale_age", round, Some(id), age));
+                }
+                ok
+            }
+            Err(_) => false,
+        };
+        let kind = if applied {
             EventKind::StaleApplied
         } else {
             EventKind::UpdateRejected
         };
-        actions.push(Action::Emit(Event::client_scoped(kind, round, id)));
-        actions
+        out.event(Event::client_scoped(kind, round, id));
     }
 }
 
@@ -718,6 +647,7 @@ mod tests {
     use super::*;
     use crate::client::ModelUpdate;
     use crate::wire;
+    use fedpower_telemetry::{MemoryRecorder, NullRecorder};
 
     fn engine(n: usize) -> RoundEngine {
         let policy = EnginePolicy::from_config(&FedAvgConfig::paper());
@@ -735,67 +665,77 @@ mod tests {
         )
     }
 
-    fn emitted(actions: &[Action]) -> Vec<EventKind> {
-        actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Emit(e) => Some(e.kind),
-                _ => None,
-            })
-            .collect()
+    /// Feeds `frame`, returning what the engine recorded.
+    fn feed(eng: &mut RoundEngine, frame: Frame) -> MemoryRecorder {
+        let mut rec = MemoryRecorder::new();
+        eng.handle(frame, &mut rec);
+        rec
+    }
+
+    fn kinds(rec: &MemoryRecorder) -> Vec<EventKind> {
+        rec.events().iter().map(|e| e.kind).collect()
+    }
+
+    fn join(eng: &mut RoundEngine, slot: usize) -> MemoryRecorder {
+        feed(
+            eng,
+            Frame::Join {
+                client: slot,
+                frame_len: 60,
+            },
+        )
+    }
+
+    fn upload(eng: &mut RoundEngine, slot: usize, bytes: Vec<u8>) -> MemoryRecorder {
+        feed(
+            eng,
+            Frame::Upload {
+                client: slot,
+                sent_len: bytes.len(),
+                bytes,
+            },
+        )
     }
 
     #[test]
     fn a_full_round_commits_the_mean() {
         let mut eng = engine(2);
         for slot in 0..2 {
-            eng.handle(Frame::Join {
-                client: slot,
-                frame_len: 60,
-            });
+            join(&mut eng, slot);
         }
-        eng.handle(Frame::BeginRound);
+        eng.handle(Frame::BeginRound, &mut NullRecorder);
         for (slot, value) in [(0, 1.0_f32), (1, 3.0)] {
-            let bytes = upload_frame(1, slot, vec![value; 4]);
-            let actions = eng.handle(Frame::Upload {
-                client: slot,
-                sent_len: bytes.len(),
-                bytes,
-            });
+            let rec = upload(&mut eng, slot, upload_frame(1, slot, vec![value; 4]));
             assert_eq!(
-                emitted(&actions),
+                kinds(&rec),
                 [EventKind::UploadReceived, EventKind::UploadAdmitted]
             );
         }
-        let actions = eng.handle(Frame::CloseRound);
-        assert_eq!(emitted(&actions), [EventKind::Aggregated]);
-        eng.handle(Frame::EndRound);
+        let rec = feed(&mut eng, Frame::CloseRound);
+        assert_eq!(kinds(&rec), [EventKind::Aggregated]);
+        eng.handle(Frame::EndRound, &mut NullRecorder);
         assert_eq!(eng.global(), &[2.0; 4]);
         assert_eq!(eng.rounds_run(), 1);
+        // Two models at 1 and 3 sit 1 away from their mean in each of 4
+        // coordinates: an L2 distance of 2 each.
+        assert!((eng.divergence() - 2.0).abs() < 1e-6);
     }
 
     #[test]
     fn corrupt_bytes_are_rejected_not_admitted() {
         let mut eng = engine(1);
-        eng.handle(Frame::Join {
-            client: 0,
-            frame_len: 60,
-        });
-        eng.handle(Frame::BeginRound);
+        join(&mut eng, 0);
+        eng.handle(Frame::BeginRound, &mut NullRecorder);
         let mut bytes = upload_frame(1, 0, vec![1.0; 4]);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
-        let actions = eng.handle(Frame::Upload {
-            client: 0,
-            sent_len: bytes.len(),
-            bytes,
-        });
+        let rec = upload(&mut eng, 0, bytes);
         assert_eq!(
-            emitted(&actions),
+            kinds(&rec),
             [EventKind::UploadReceived, EventKind::UpdateRejected]
         );
-        let actions = eng.handle(Frame::CloseRound);
-        assert_eq!(emitted(&actions), [EventKind::QuorumSkipped]);
+        let rec = feed(&mut eng, Frame::CloseRound);
+        assert_eq!(kinds(&rec), [EventKind::QuorumSkipped]);
     }
 
     #[test]
@@ -805,49 +745,42 @@ mod tests {
             ..EnginePolicy::from_config(&FedAvgConfig::paper())
         };
         let mut eng = RoundEngine::new(vec![0.5; 4], policy, vec![0]);
-        eng.handle(Frame::Join {
-            client: 0,
-            frame_len: 60,
-        });
-        eng.handle(Frame::BeginRound);
-        let bytes = upload_frame(1, 0, vec![9.0; 4]);
-        eng.handle(Frame::Upload {
-            client: 0,
-            sent_len: bytes.len(),
-            bytes,
-        });
-        let actions = eng.handle(Frame::CloseRound);
-        assert_eq!(emitted(&actions), [EventKind::QuorumSkipped]);
+        join(&mut eng, 0);
+        eng.handle(Frame::BeginRound, &mut NullRecorder);
+        upload(&mut eng, 0, upload_frame(1, 0, vec![9.0; 4]));
+        let rec = feed(&mut eng, Frame::CloseRound);
+        assert_eq!(kinds(&rec), [EventKind::QuorumSkipped]);
         assert_eq!(eng.global(), &[0.5; 4]);
     }
 
     #[test]
     fn stale_updates_are_discounted_and_counted() {
         let mut eng = engine(2);
-        eng.handle(Frame::Join {
-            client: 0,
-            frame_len: 60,
-        });
-        eng.handle(Frame::BeginRound);
-        eng.handle(Frame::EndRound);
-        eng.handle(Frame::BeginRound);
-        let actions = eng.handle(Frame::StaleUpdate {
-            client: 1,
-            origin_round: 1,
-            update: ModelUpdate {
-                client_id: 1,
-                params: vec![2.0; 4],
-                num_samples: 10,
+        join(&mut eng, 0);
+        eng.handle(Frame::BeginRound, &mut NullRecorder);
+        eng.handle(Frame::EndRound, &mut NullRecorder);
+        eng.handle(Frame::BeginRound, &mut NullRecorder);
+        let rec = feed(
+            &mut eng,
+            Frame::StaleUpdate {
+                client: 1,
+                origin_round: 1,
+                update: ModelUpdate {
+                    client_id: 1,
+                    params: vec![2.0; 4],
+                    num_samples: 10,
+                },
             },
-        });
+        );
         assert_eq!(
-            emitted(&actions),
+            kinds(&rec),
             [EventKind::StaleReceived, EventKind::StaleApplied]
         );
-        let age = actions.iter().find_map(|a| match a {
-            Action::Count(c) if c.name == "stale_age" => Some(c.value),
-            _ => None,
-        });
+        let age = rec
+            .counters()
+            .iter()
+            .find(|c| c.name == "stale_age")
+            .map(|c| c.value);
         assert_eq!(age, Some(1));
     }
 
@@ -859,89 +792,73 @@ mod tests {
         };
         let mut eng = RoundEngine::new(vec![0.0; 4], policy, vec![0, 1]);
         for slot in 0..2 {
-            eng.handle(Frame::Join {
-                client: slot,
-                frame_len: 60,
-            });
+            join(&mut eng, slot);
         }
-        eng.handle(Frame::BeginRound);
-        let bytes = upload_frame(1, 0, vec![1.0; 4]);
-        eng.handle(Frame::Upload {
-            client: 0,
-            sent_len: bytes.len(),
-            bytes,
-        });
+        eng.handle(Frame::BeginRound, &mut NullRecorder);
+        upload(&mut eng, 0, upload_frame(1, 0, vec![1.0; 4]));
         assert_eq!(eng.pending_uploads(), 1);
-        assert!(eng.tick().is_empty(), "first tick only decrements");
-        let actions = eng.tick();
-        assert_eq!(emitted(&actions), [EventKind::ClientOffline]);
+        let tick = |eng: &mut RoundEngine| {
+            let mut rec = MemoryRecorder::new();
+            eng.tick(&mut rec);
+            rec
+        };
+        assert!(tick(&mut eng).is_empty(), "first tick only decrements");
+        assert_eq!(kinds(&tick(&mut eng)), [EventKind::ClientOffline]);
         assert_eq!(eng.pending_uploads(), 0);
-        assert!(eng.tick().is_empty(), "deadline disarms after expiry");
+        assert!(tick(&mut eng).is_empty(), "deadline disarms after expiry");
     }
 
     #[test]
     fn rejoin_after_leave_references_the_latest_round() {
         let mut eng = engine(1);
-        eng.handle(Frame::Join {
-            client: 0,
-            frame_len: 60,
-        });
-        eng.handle(Frame::BeginRound);
-        let bytes = upload_frame(1, 0, vec![1.0; 4]);
-        eng.handle(Frame::Upload {
-            client: 0,
-            sent_len: bytes.len(),
-            bytes,
-        });
-        eng.handle(Frame::CloseRound);
-        eng.handle(Frame::Delivered {
-            client: 0,
-            frame_len: 60,
-        });
-        eng.handle(Frame::EndRound);
+        join(&mut eng, 0);
+        eng.handle(Frame::BeginRound, &mut NullRecorder);
+        upload(&mut eng, 0, upload_frame(1, 0, vec![1.0; 4]));
+        eng.handle(Frame::CloseRound, &mut NullRecorder);
+        eng.handle(
+            Frame::Delivered {
+                client: 0,
+                frame_len: 60,
+            },
+            &mut NullRecorder,
+        );
+        eng.handle(Frame::EndRound, &mut NullRecorder);
         eng.leave(0);
         assert!(!eng.joined(0));
-        let actions = eng.handle(Frame::Join {
-            client: 0,
-            frame_len: 60,
-        });
-        match &actions[0] {
-            Action::Emit(e) => assert_eq!(e.round, 1, "rejoin references round 1"),
-            other => panic!("unexpected action {other:?}"),
-        }
+        let rec = join(&mut eng, 0);
+        assert_eq!(rec.events()[0].round, 1, "rejoin references round 1");
         assert_eq!(eng.upload_reference(0).map(|(r, _)| r), Some(1));
     }
 
     /// Runs one committed round with both slots participating.
     fn run_round(eng: &mut RoundEngine, value: f32) {
         let round = eng.rounds_run() + 1;
-        eng.handle(Frame::BeginRound);
+        eng.handle(Frame::BeginRound, &mut NullRecorder);
         for slot in 0..2 {
-            let bytes = upload_frame(round, slot, vec![value + slot as f32; 4]);
-            eng.handle(Frame::Upload {
-                client: slot,
-                sent_len: bytes.len(),
-                bytes,
-            });
+            upload(
+                eng,
+                slot,
+                upload_frame(round, slot, vec![value + slot as f32; 4]),
+            );
         }
-        eng.handle(Frame::CloseRound);
+        eng.handle(Frame::CloseRound, &mut NullRecorder);
         for slot in 0..2 {
-            eng.handle(Frame::Delivered {
-                client: slot,
-                frame_len: 60,
-            });
+            eng.handle(
+                Frame::Delivered {
+                    client: slot,
+                    frame_len: 60,
+                },
+                &mut NullRecorder,
+            );
         }
-        eng.handle(Frame::EndRound);
+        eng.handle(Frame::EndRound, &mut NullRecorder);
     }
 
     #[test]
     fn checkpoint_restore_resumes_bit_identically() {
         let mut live = engine(2);
         for slot in 0..2 {
-            live.handle(Frame::Join {
-                client: slot,
-                frame_len: 60,
-            });
+            join(&mut live, slot);
         }
         run_round(&mut live, 1.0);
         run_round(&mut live, 2.5);
@@ -959,10 +876,7 @@ mod tests {
         assert_eq!(restored.rounds_committed(), 2);
         assert!(!restored.joined(0), "clients re-join after a restart");
         for slot in 0..2 {
-            restored.handle(Frame::Join {
-                client: slot,
-                frame_len: 60,
-            });
+            join(&mut restored, slot);
         }
         assert_eq!(
             restored.upload_reference(0).map(|(r, _)| r),
@@ -980,10 +894,7 @@ mod tests {
     fn checkpoint_survives_the_wire_format() {
         let mut eng = engine(2);
         for slot in 0..2 {
-            eng.handle(Frame::Join {
-                client: slot,
-                frame_len: 60,
-            });
+            join(&mut eng, slot);
         }
         run_round(&mut eng, 3.0);
         let ck = eng.checkpoint();

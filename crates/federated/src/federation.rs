@@ -1,9 +1,9 @@
 use crate::client::FederatedClient;
-use crate::engine::{Action, EnginePolicy, Frame, RoundEngine};
+use crate::engine::{EnginePolicy, Frame, RoundEngine};
 use crate::error::FedError;
 use crate::fault::{FaultPlan, FaultyTransport};
 use crate::pool::WorkerPool;
-use crate::report::{RoundReport, TransportStats};
+use crate::report::{RoundReport, Tee, TransportStats};
 use crate::server::{AggregationStrategy, ServerOpt};
 use crate::transport::{Transport, TransportKind};
 use crate::wire;
@@ -502,11 +502,18 @@ impl<C: FederatedClient> Federation<C> {
         }
         // Either path installs θ₁, so the engine records the join either
         // way.
-        let actions = self.engine.handle(Frame::Join {
-            client: i,
-            frame_len: frame.len(),
-        });
-        Self::apply(&mut self.transport, &mut *self.recorder, None, actions);
+        let mut out = Tee {
+            report: None,
+            transport: &mut self.transport,
+            recorder: &mut *self.recorder,
+        };
+        self.engine.handle(
+            Frame::Join {
+                client: i,
+                frame_len: frame.len(),
+            },
+            &mut out,
+        );
     }
 
     /// Installs a telemetry recorder; subsequent rounds emit through it.
@@ -586,26 +593,14 @@ impl<C: FederatedClient> Federation<C> {
         // The engine opens the round (and emits the round-start event
         // plus the commit-stage counter `report::from_events` reconciles
         // against).
-        let actions = self.engine.handle(Frame::BeginRound);
-        Self::apply(
-            &mut self.transport,
-            &mut *self.recorder,
-            Some(&mut report),
-            actions,
-        );
+        self.feed(&mut report, Frame::BeginRound);
 
         let mut active: Vec<usize> = Vec::with_capacity(participant_ids.len());
         for &i in &participant_ids {
-            if self.clients[i].is_online() && self.links[i].is_online() {
+            if self.links[i].is_online() {
                 active.push(i);
             } else {
-                let actions = self.engine.handle(Frame::Offline { client: i });
-                Self::apply(
-                    &mut self.transport,
-                    &mut *self.recorder,
-                    Some(&mut report),
-                    actions,
-                );
+                self.feed(&mut report, Frame::Offline { client: i });
             }
         }
 
@@ -633,20 +628,10 @@ impl<C: FederatedClient> Federation<C> {
         self.recorder
             .span(Span::new("train", round, report.timing.train_s));
         for &i in &active {
-            let trained = !panicked.contains(&i);
-            let frame = if trained {
-                Frame::Trained { client: i }
+            if panicked.contains(&i) {
+                self.feed(&mut report, Frame::TrainPanicked { client: i });
             } else {
-                Frame::TrainPanicked { client: i }
-            };
-            let actions = self.engine.handle(frame);
-            Self::apply(
-                &mut self.transport,
-                &mut *self.recorder,
-                Some(&mut report),
-                actions,
-            );
-            if trained {
+                self.feed(&mut report, Frame::Trained { client: i });
                 self.clients[i].record_telemetry(round, &mut *self.recorder);
             }
         }
@@ -656,62 +641,36 @@ impl<C: FederatedClient> Federation<C> {
             if panicked.contains(&i) {
                 continue;
             }
-            // The retry budget is shared across both layers: client-side
-            // drops (custom clients may refuse) and in-flight frame drops
-            // draw from the same `max_upload_retries` allowance.
-            let mut outcome = self.clients[i].try_upload();
-            let mut retries = 0;
-            while retries < self.config.max_upload_retries
-                && matches!(outcome, Err(FedError::UploadDropped { .. }))
-            {
-                retries += 1;
-                let actions = self.engine.handle(Frame::UploadRetry { client: i });
-                Self::apply(
-                    &mut self.transport,
-                    &mut *self.recorder,
-                    Some(&mut report),
-                    actions,
-                );
-                outcome = self.clients[i].try_upload();
-            }
-            let mut frame_len = 0;
-            let delivered = match outcome {
-                Ok(mut update) => {
-                    if self.config.update_noise_sigma > 0.0 {
-                        let sigma = self.config.update_noise_sigma;
-                        for p in &mut update.params {
-                            *p += sigma * gaussian(&mut self.rng);
-                        }
+            // The update and its encoded frame live only in this block,
+            // so neither is held while the engine decodes the upload.
+            let (sent_len, sent) = {
+                let mut update = self.clients[i].upload();
+                if self.config.update_noise_sigma > 0.0 {
+                    let sigma = self.config.update_noise_sigma;
+                    for p in &mut update.params {
+                        *p += sigma * gaussian(&mut self.rng);
                     }
-                    let reference = self.engine.upload_reference(i);
-                    let frame =
-                        wire::encode_upload_with(self.config.codec, round, &update, reference);
-                    frame_len = frame.len();
-                    let mut sent = self.links[i].upload(&frame);
-                    while retries < self.config.max_upload_retries
-                        && matches!(sent, Err(FedError::UploadDropped { .. }))
-                    {
-                        retries += 1;
-                        let actions = self.engine.handle(Frame::UploadRetry { client: i });
-                        Self::apply(
-                            &mut self.transport,
-                            &mut *self.recorder,
-                            Some(&mut report),
-                            actions,
-                        );
-                        sent = self.links[i].upload(&frame);
-                    }
-                    sent
                 }
-                Err(e) => Err(e),
+                let reference = self.engine.upload_reference(i);
+                let frame = wire::encode_upload_with(self.config.codec, round, &update, reference);
+                let mut sent = self.links[i].upload(&frame);
+                let mut retries = 0;
+                while retries < self.config.max_upload_retries
+                    && matches!(sent, Err(FedError::UploadDropped { .. }))
+                {
+                    retries += 1;
+                    self.feed(&mut report, Frame::UploadRetry { client: i });
+                    sent = self.links[i].upload(&frame);
+                }
+                (frame.len(), sent)
             };
             // Admission — version, shape, codec references — is the
             // engine's decision; the driver only reports what happened
             // on the wire.
-            let frame = match delivered {
+            let frame = match sent {
                 Ok(bytes) => Frame::Upload {
                     client: i,
-                    sent_len: frame_len,
+                    sent_len,
                     bytes,
                 },
                 Err(FedError::UploadDropped { .. }) => Frame::UploadDropped { client: i },
@@ -720,75 +679,40 @@ impl<C: FederatedClient> Federation<C> {
                 // and upload); treated like an offline participant.
                 Err(_) => Frame::Offline { client: i },
             };
-            let actions = self.engine.handle(frame);
-            Self::apply(
-                &mut self.transport,
-                &mut *self.recorder,
-                Some(&mut report),
-                actions,
-            );
+            self.feed(&mut report, frame);
         }
         let upload_s = upload_start.elapsed().as_secs_f64();
         report.timing.transport_s += upload_s;
         self.recorder.span(Span::new("upload", round, upload_s));
 
         let aggregate_start = Instant::now();
-        // Straggler updates whose delay elapsed surface now, discounted by
-        // staleness. Every client and link is polled: a straggler need not
-        // be in this round's participant set to deliver its late update.
-        // Clients may hand over a decoded update; transport-level
-        // stragglers hand over the buffered frame.
-        for i in 0..self.clients.len() {
-            if let Some(stale) = self.clients[i].take_stale() {
-                let actions = self.engine.handle(Frame::StaleUpdate {
-                    client: i,
-                    origin_round: stale.origin_round,
-                    update: stale.update,
-                });
-                Self::apply(
-                    &mut self.transport,
-                    &mut *self.recorder,
-                    Some(&mut report),
-                    actions,
-                );
-            }
+        // Straggler frames whose delay elapsed surface now, discounted by
+        // staleness. Every link is polled: a straggler need not be in
+        // this round's participant set to deliver its late update.
+        for i in 0..self.links.len() {
             if let Some(bytes) = self.links[i].take_stale() {
-                let actions = self.engine.handle(Frame::StaleBytes { client: i, bytes });
-                Self::apply(
-                    &mut self.transport,
-                    &mut *self.recorder,
-                    Some(&mut report),
-                    actions,
-                );
+                self.feed(&mut report, Frame::StaleBytes { client: i, bytes });
             }
         }
 
         // Quorum check and commit are the engine's: it also advances the
         // reference window to whatever θ goes out this round.
-        let actions = self.engine.handle(Frame::CloseRound);
-        Self::apply(
-            &mut self.transport,
-            &mut *self.recorder,
-            Some(&mut report),
-            actions,
-        );
+        self.feed(&mut report, Frame::CloseRound);
+        report.client_divergence = self.engine.divergence();
         report.timing.aggregate_s = aggregate_start.elapsed().as_secs_f64();
         self.recorder
             .span(Span::new("aggregate", round, report.timing.aggregate_s));
 
         let broadcast_start = Instant::now();
         for i in 0..self.clients.len() {
-            let client = &mut self.clients[i];
-            let link = &mut self.links[i];
-            if !(client.is_online() && link.is_online()) {
+            if !self.links[i].is_online() {
                 continue;
             }
-            let id = client.id();
-            let frame = wire::encode_broadcast(round, id, self.engine.global());
-            let outcome = link
+            let frame = wire::encode_broadcast(round, self.clients[i].id(), self.engine.global());
+            let outcome = self.links[i]
                 .broadcast(&frame)
                 .and_then(|bytes| wire::decode_params(&bytes))
-                .and_then(|params| client.try_download(&params));
+                .and_then(|params| self.clients[i].try_download(&params));
             let engine_frame = match outcome {
                 Ok(()) => Frame::Delivered {
                     client: i,
@@ -799,59 +723,27 @@ impl<C: FederatedClient> Federation<C> {
                 Err(FedError::ShapeMismatch { .. }) => Frame::DownloadRejected { client: i },
                 Err(_) => Frame::DownloadDropped { client: i },
             };
-            let actions = self.engine.handle(engine_frame);
-            Self::apply(
-                &mut self.transport,
-                &mut *self.recorder,
-                Some(&mut report),
-                actions,
-            );
+            self.feed(&mut report, engine_frame);
         }
         let broadcast_s = broadcast_start.elapsed().as_secs_f64();
         report.timing.transport_s += broadcast_s;
         self.recorder
             .span(Span::new("broadcast", round, broadcast_s));
 
-        let actions = self.engine.handle(Frame::EndRound);
-        Self::apply(
-            &mut self.transport,
-            &mut *self.recorder,
-            Some(&mut report),
-            actions,
-        );
+        self.feed(&mut report, Frame::EndRound);
         report
     }
 
-    /// Performs the engine's requested [`Action`]s: events flow through
-    /// the single telemetry choke point (report + transport stats +
-    /// recorder — which keeps the reporting structs exact reductions of
-    /// the emitted stream), counters go straight to the recorder, and
-    /// the divergence metric lands in the report. An associated function
-    /// (not `&mut self`) so call sites can hold disjoint field borrows;
-    /// `report` is `None` outside a round (the join handshake).
-    fn apply(
-        transport: &mut TransportStats,
-        recorder: &mut dyn Recorder,
-        mut report: Option<&mut RoundReport>,
-        actions: Vec<Action>,
-    ) {
-        for action in actions {
-            match action {
-                Action::Emit(event) => {
-                    if let Some(r) = report.as_deref_mut() {
-                        r.apply(&event);
-                    }
-                    transport.apply(&event);
-                    recorder.event(event);
-                }
-                Action::Count(counter) => recorder.counter(counter),
-                Action::Divergence(d) => {
-                    if let Some(r) = report.as_deref_mut() {
-                        r.client_divergence = d;
-                    }
-                }
-            }
-        }
+    /// Feeds one frame to the engine through the telemetry [`Tee`], so
+    /// what it records lands in `report`, the running transport stats
+    /// and the installed recorder alike.
+    fn feed(&mut self, report: &mut RoundReport, frame: Frame) {
+        let mut out = Tee {
+            report: Some(report),
+            transport: &mut self.transport,
+            recorder: &mut *self.recorder,
+        };
+        self.engine.handle(frame, &mut out);
     }
 
     /// Trains the active participants, containing panics; returns the ids

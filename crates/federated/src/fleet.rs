@@ -38,21 +38,17 @@
 //! stale-model ledger), upload drops spend the shared retry budget,
 //! corruption is rejected by server admission, stragglers surface late at
 //! a staleness-discounted weight, and dropped broadcasts leave the client
-//! on its own post-round parameters. Two documented approximations exist
-//! for exotic client behavior: a client whose *training panicked* and
-//! whose broadcast also dropped resumes from its round-start (not
-//! mid-panic) parameters, and client-side `is_online`/`try_upload`
-//! overrides cannot carry state across rounds (materialized clients live
-//! for one round) — the bundled [`crate::AgentClient`] and the test
-//! clients exercise neither.
+//! on its own post-round parameters. One documented approximation exists:
+//! a client whose *training panicked* and whose broadcast also dropped
+//! resumes from its round-start (not mid-panic) parameters.
 
 use crate::client::{FederatedClient, ModelUpdate};
-use crate::engine::{Action, EnginePolicy, Frame, RoundEngine};
+use crate::engine::{EnginePolicy, Frame, RoundEngine};
 use crate::error::FedError;
 use crate::fault::{Fault, FaultPlan};
 use crate::federation::FedAvgConfig;
 use crate::pool::WorkerPool;
-use crate::report::{RoundReport, TransportStats};
+use crate::report::{RoundReport, Tee, TransportStats};
 use crate::server::{AggregationStrategy, RoundAccumulator, ServerOpt};
 use crate::wire;
 use fedpower_telemetry::{Counter, Event, EventKind, NullRecorder, Recorder, Span};
@@ -162,6 +158,22 @@ struct ShardTelemetry {
     events: Vec<Event>,
     counters: Vec<Counter>,
     spans: Vec<Span>,
+}
+
+impl ShardTelemetry {
+    /// Re-records the buffer into `out`: events, then counters, then
+    /// spans, each in recording order.
+    fn replay(&self, out: &mut dyn Recorder) {
+        for &event in &self.events {
+            out.event(event);
+        }
+        for &counter in &self.counters {
+            out.counter(counter);
+        }
+        for &span in &self.spans {
+            out.span(span);
+        }
+    }
 }
 
 impl Recorder for ShardTelemetry {
@@ -323,11 +335,6 @@ impl EdgeAggregator {
         let mut client = ctx.factory.materialize(id, round);
         client.download(resume);
         client.begin_round(round);
-        if !client.is_online() {
-            self.telemetry
-                .event(Event::client_scoped(EventKind::ClientOffline, round, id));
-            return;
-        }
         self.clients_processed += 1;
         let trained =
             catch_unwind(AssertUnwindSafe(|| client.train_round_with(ctx.steps, ws))).is_ok();
@@ -346,9 +353,9 @@ impl EdgeAggregator {
     }
 
     /// The post-training half of client processing — trained event,
-    /// client telemetry, upload retries, and in-flight fault realization
-    /// — shared by the serial ([`EdgeAggregator::process_client`]) and
-    /// batched ([`EdgeAggregator::process_block`]) paths.
+    /// client telemetry, upload, and in-flight fault realization — shared
+    /// by the serial ([`EdgeAggregator::process_client`]) and batched
+    /// ([`EdgeAggregator::process_block`]) paths.
     fn finish_client<F: FleetClientFactory>(
         &mut self,
         ctx: &ShardContext<'_, F>,
@@ -359,41 +366,7 @@ impl EdgeAggregator {
         self.telemetry
             .event(Event::client_scoped(EventKind::ClientTrained, round, id));
         client.record_telemetry(round, &mut self.telemetry);
-
-        // Client-layer upload, spending the shared retry budget first —
-        // mirrors the flat engine, where client-side and in-flight drops
-        // draw from the same allowance.
-        let mut retries = 0;
-        let mut outcome = client.try_upload();
-        while retries < ctx.max_upload_retries
-            && matches!(outcome, Err(FedError::UploadDropped { .. }))
-        {
-            retries += 1;
-            self.telemetry
-                .event(Event::client_scoped(EventKind::UploadRetry, round, id));
-            outcome = client.try_upload();
-        }
-        let mut update = match outcome {
-            Ok(update) => update,
-            Err(FedError::UploadDropped { .. }) => {
-                self.telemetry
-                    .event(Event::client_scoped(EventKind::UploadDropped, round, id));
-                return;
-            }
-            Err(FedError::Straggling { .. }) => {
-                // A client-layer straggler cannot deliver late (the
-                // client object does not survive the round); counted,
-                // update lost. Plan-scheduled stragglers do deliver.
-                self.telemetry
-                    .event(Event::client_scoped(EventKind::StragglerStarted, round, id));
-                return;
-            }
-            Err(_) => {
-                self.telemetry
-                    .event(Event::client_scoped(EventKind::ClientOffline, round, id));
-                return;
-            }
-        };
+        let mut update = client.upload();
         drop(client);
 
         // In-flight faults, realized from the plan.
@@ -409,7 +382,7 @@ impl EdgeAggregator {
                 });
             }
             Some(Fault::UploadDrop { attempts }) => {
-                let budget = ctx.max_upload_retries - retries;
+                let budget = ctx.max_upload_retries;
                 for _ in 0..attempts.min(budget) {
                     self.telemetry
                         .event(Event::client_scoped(EventKind::UploadRetry, round, id));
@@ -437,7 +410,7 @@ impl EdgeAggregator {
 
     /// Processes a contiguous block of clients with batched training:
     /// prepare every reachable client (materialize → download →
-    /// `begin_round` → `is_online`), train them all through
+    /// `begin_round`), train them all through
     /// [`FederatedClient::train_block_with`], then emit each client's
     /// events and upload in client-id order.
     ///
@@ -466,8 +439,7 @@ impl EdgeAggregator {
             let mut client = ctx.factory.materialize(id, round);
             client.download(resume);
             client.begin_round(round);
-            let online = client.is_online();
-            prepared.push((id, online.then_some(client)));
+            prepared.push((id, Some(client)));
         }
         let mut online: Vec<&mut F::Client> = prepared
             .iter_mut()
@@ -709,12 +681,19 @@ impl<F: FleetClientFactory> Fleet<F> {
             workspaces: Vec::new(),
         };
         let join_bytes = wire::encode_join_ack(0, fleet.engine.global()).len();
+        let mut out = Tee {
+            report: None,
+            transport: &mut fleet.transport,
+            recorder: &mut *fleet.recorder,
+        };
         for id in 0..fleet.config.num_clients {
-            let actions = fleet.engine.handle(Frame::Join {
-                client: id,
-                frame_len: join_bytes,
-            });
-            Self::apply(&mut fleet.transport, &mut *fleet.recorder, None, actions);
+            fleet.engine.handle(
+                Frame::Join {
+                    client: id,
+                    frame_len: join_bytes,
+                },
+                &mut out,
+            );
         }
         Ok(fleet)
     }
@@ -755,46 +734,15 @@ impl<F: FleetClientFactory> Fleet<F> {
         &mut *self.recorder
     }
 
-    /// Applies one telemetry event to the round report and the
-    /// fleet-wide transport stats, then forwards it to the recorder —
+    /// Feeds one frame to the engine through the telemetry [`Tee`] —
     /// the same single choke point the flat engine uses.
-    fn emit(
-        transport: &mut TransportStats,
-        recorder: &mut dyn Recorder,
-        report: &mut RoundReport,
-        event: Event,
-    ) {
-        report.apply(&event);
-        transport.apply(&event);
-        recorder.event(event);
-    }
-
-    /// Performs the engine's [`Action`]s: events go through the same
-    /// choke point as [`Fleet::emit`] (join-time actions carry no
-    /// report), counters go to the recorder, divergence to the report.
-    fn apply(
-        transport: &mut TransportStats,
-        recorder: &mut dyn Recorder,
-        mut report: Option<&mut RoundReport>,
-        actions: Vec<Action>,
-    ) {
-        for action in actions {
-            match action {
-                Action::Emit(event) => {
-                    if let Some(r) = report.as_deref_mut() {
-                        r.apply(&event);
-                    }
-                    transport.apply(&event);
-                    recorder.event(event);
-                }
-                Action::Count(counter) => recorder.counter(counter),
-                Action::Divergence(d) => {
-                    if let Some(r) = report.as_deref_mut() {
-                        r.client_divergence = d;
-                    }
-                }
-            }
-        }
+    fn feed(&mut self, report: &mut RoundReport, frame: Frame) {
+        let mut out = Tee {
+            report: Some(report),
+            transport: &mut self.transport,
+            recorder: &mut *self.recorder,
+        };
+        self.engine.handle(frame, &mut out);
     }
 
     /// Executes one sharded federated round.
@@ -808,13 +756,7 @@ impl<F: FleetClientFactory> Fleet<F> {
     pub fn run_round(&mut self) -> RoundReport {
         let round = self.engine.rounds_run() + 1;
         let mut report = RoundReport::begin(round);
-        let actions = self.engine.handle(Frame::BeginRound);
-        Self::apply(
-            &mut self.transport,
-            &mut *self.recorder,
-            Some(&mut report),
-            actions,
-        );
+        self.feed(&mut report, Frame::BeginRound);
 
         let global: Vec<f32> = self.engine.global().to_vec();
         // Clients whose crash outage begins this round pin the model they
@@ -863,39 +805,31 @@ impl<F: FleetClientFactory> Fleet<F> {
         let aggregate_start = Instant::now();
         let mut retained: BTreeMap<usize, Vec<f32>> = BTreeMap::new();
         for edge in outcomes {
-            for event in &edge.telemetry.events {
-                Self::emit(
-                    &mut self.transport,
-                    &mut *self.recorder,
-                    &mut report,
-                    *event,
-                );
-            }
-            for counter in &edge.telemetry.counters {
-                self.recorder.counter(*counter);
-            }
-            for span in &edge.telemetry.spans {
-                self.recorder.span(*span);
-            }
-            self.recorder.counter(Counter::new(
+            let mut out = Tee {
+                report: Some(&mut report),
+                transport: &mut self.transport,
+                recorder: &mut *self.recorder,
+            };
+            edge.telemetry.replay(&mut out);
+            out.counter(Counter::new(
                 "shard_clients",
                 round,
                 Some(edge.shard),
                 edge.clients_processed,
             ));
-            self.recorder.counter(Counter::new(
+            out.counter(Counter::new(
                 "shard_admitted",
                 round,
                 Some(edge.shard),
                 edge.acc.admitted() as u64,
             ));
-            self.recorder.counter(Counter::new(
+            out.counter(Counter::new(
                 "shard_bytes",
                 round,
                 Some(edge.shard),
                 edge.upload_bytes,
             ));
-            self.recorder.span(Span::new("shard", round, edge.secs));
+            out.span(Span::new("shard", round, edge.secs));
             for stashed in edge.stragglers {
                 // Like the flat transport's single-slot stash: a client
                 // already straggling keeps its first buffered update.
@@ -905,7 +839,7 @@ impl<F: FleetClientFactory> Fleet<F> {
                 retained.insert(id, params);
             }
             self.engine
-                .handle(Frame::MergePartial { partial: edge.acc });
+                .handle(Frame::MergePartial { partial: edge.acc }, &mut out);
         }
 
         // Straggler updates whose delay elapsed (and whose client is
@@ -922,26 +856,18 @@ impl<F: FleetClientFactory> Fleet<F> {
                 .stash
                 .remove(&id)
                 .expect("selected from the stash above");
-            let actions = self.engine.handle(Frame::StaleUpdate {
-                client: id,
-                origin_round: stashed.origin,
-                update: stashed.update,
-            });
-            Self::apply(
-                &mut self.transport,
-                &mut *self.recorder,
-                Some(&mut report),
-                actions,
+            self.feed(
+                &mut report,
+                Frame::StaleUpdate {
+                    client: id,
+                    origin_round: stashed.origin,
+                    update: stashed.update,
+                },
             );
         }
 
-        let actions = self.engine.handle(Frame::CloseRound);
-        Self::apply(
-            &mut self.transport,
-            &mut *self.recorder,
-            Some(&mut report),
-            actions,
-        );
+        self.feed(&mut report, Frame::CloseRound);
+        report.client_divergence = self.engine.divergence();
         report.timing.aggregate_s = aggregate_start.elapsed().as_secs_f64();
         self.recorder
             .span(Span::new("aggregate", round, report.timing.aggregate_s));
@@ -968,26 +894,14 @@ impl<F: FleetClientFactory> Fleet<F> {
                     frame_len,
                 }
             };
-            let actions = self.engine.handle(frame);
-            Self::apply(
-                &mut self.transport,
-                &mut *self.recorder,
-                Some(&mut report),
-                actions,
-            );
+            self.feed(&mut report, frame);
         }
         let broadcast_s = broadcast_start.elapsed().as_secs_f64();
         report.timing.transport_s += broadcast_s;
         self.recorder
             .span(Span::new("broadcast", round, broadcast_s));
 
-        let actions = self.engine.handle(Frame::EndRound);
-        Self::apply(
-            &mut self.transport,
-            &mut *self.recorder,
-            Some(&mut report),
-            actions,
-        );
+        self.feed(&mut report, Frame::EndRound);
         report
     }
 

@@ -15,8 +15,7 @@
 //! * [`AggregationServer`] — synchronous parameter averaging with
 //!   [`AggregationStrategy`] (the paper's unweighted mean plus a
 //!   sample-weighted extension) feeding a [`ServerOptimizer`] commit stage
-//!   ([`ServerOpt::FedAvg`], [`ServerOpt::FedAdam`], [`ServerOpt::FedProx`])
-//!   with an optional staleness-aware buffered-async round ([`AsyncRound`]),
+//!   ([`ServerOpt::FedAvg`], [`ServerOpt::FedAdam`], [`ServerOpt::FedProx`]),
 //! * [`AgentClient`] — a [`FederatedClient`] wrapping a power controller
 //!   and its simulated device,
 //! * [`Federation`] — round orchestration (`R` rounds × `T` local steps),
@@ -76,8 +75,8 @@ mod transport;
 pub mod wire;
 
 pub use batch::BatchPlanner;
-pub use client::{AgentClient, FederatedClient, ModelUpdate, StaleUpdate};
-pub use engine::{Action, EnginePolicy, Frame, RoundEngine};
+pub use client::{AgentClient, FederatedClient, ModelUpdate};
+pub use engine::{EnginePolicy, Frame, RoundEngine};
 pub use error::FedError;
 pub use exact::ExactSum;
 pub use fault::{
@@ -88,8 +87,8 @@ pub use fleet::{EdgeAggregator, Fleet, FleetClientFactory, FleetConfig};
 pub use netserver::{run_client, serve, serve_on, JoinOptions, ServeOptions, ServeReport};
 pub use pool::WorkerPool;
 pub use server::{
-    AggregationServer, AggregationStrategy, AsyncRound, FedAdamCommit, FedAvgCommit, FedProxCommit,
-    RoundAccumulator, ServerOpt, ServerOptKind, ServerOptimizer, STALENESS_BUCKETS,
+    AggregationServer, AggregationStrategy, FedAdamCommit, FedAvgCommit, FedProxCommit,
+    RoundAccumulator, ServerOpt, ServerOptKind, ServerOptimizer,
 };
 pub use td_client::TdClient;
 pub use transport::{ChannelTransport, TcpTransport, Transport, TransportKind};

@@ -50,7 +50,7 @@
 //! bit-identical to the one the crash destroyed.
 
 use crate::client::FederatedClient;
-use crate::engine::{Action, EnginePolicy, Frame, RoundEngine};
+use crate::engine::{EnginePolicy, Frame, RoundEngine};
 use crate::error::FedError;
 use crate::federation::FedAvgConfig;
 use crate::wire;
@@ -155,21 +155,11 @@ struct RoundLedger {
     fed: BTreeSet<usize>,
 }
 
-/// Performs the engine's obligations against the recorder (the
-/// standalone server keeps no `RoundReport`; reports are reconstructed
-/// from telemetry by `telemetry_replay`).
-fn apply(recorder: &mut dyn Recorder, actions: Vec<Action>) {
-    for action in actions {
-        match action {
-            Action::Emit(event) => recorder.event(event),
-            Action::Count(counter) => recorder.counter(counter),
-            Action::Divergence(_) => {}
-        }
-    }
-}
-
 /// Runs the standalone federation server until `opts.rounds` rounds have
 /// completed (or the `halt_after` hook fires).
+///
+/// The engine records straight into `recorder`; the server keeps no
+/// `RoundReport` (`telemetry_replay` rebuilds reports from the log).
 ///
 /// # Errors
 ///
@@ -322,7 +312,7 @@ pub fn serve_on(
             if let Some(slot) = conn.slot.take() {
                 let open = engine.open_round();
                 if open.is_some() && engine.upload_pending(slot) {
-                    apply(recorder, engine.handle(Frame::Offline { client: slot }));
+                    engine.handle(Frame::Offline { client: slot }, recorder);
                 }
                 recorder.event(Event::client_scoped(
                     EventKind::ClientLeft,
@@ -338,7 +328,7 @@ pub fn serve_on(
         if round_opened.is_none() {
             let joined = (0..opts.slots).filter(|&s| engine.joined(s)).count();
             if joined >= wait_for {
-                apply(recorder, engine.handle(Frame::BeginRound));
+                engine.handle(Frame::BeginRound, recorder);
                 round_opened = Some(Instant::now());
                 ledger.fed.clear();
                 for (slot, bytes) in std::mem::take(&mut parked) {
@@ -359,13 +349,13 @@ pub fn serve_on(
         if let Some(t0) = round_opened {
             let expired = t0.elapsed() >= opts.round_timeout;
             if expired {
-                apply(recorder, engine.tick());
+                engine.tick(recorder);
             }
             if expired || engine.pending_uploads() == 0 {
                 let round = engine.rounds_run() + 1;
-                apply(recorder, engine.handle(Frame::CloseRound));
+                engine.handle(Frame::CloseRound, recorder);
                 broadcast(&mut conns, round, &mut engine, recorder);
-                apply(recorder, engine.handle(Frame::EndRound));
+                engine.handle(Frame::EndRound, recorder);
                 round_opened = None;
                 // Make the round's telemetry durable before the
                 // checkpoint that covers it: a crash-recovery replay
@@ -413,13 +403,13 @@ fn handle_frame(
         return match conn.slot {
             Some(slot) if engine.open_round().is_some() && !ledger.fed.contains(&slot) => {
                 ledger.fed.insert(slot);
-                apply(
-                    recorder,
-                    engine.handle(Frame::Upload {
+                engine.handle(
+                    Frame::Upload {
                         client: slot,
                         sent_len: frame.len(),
                         bytes: frame,
-                    }),
+                    },
+                    recorder,
                 );
                 true
             }
@@ -438,12 +428,12 @@ fn handle_frame(
             if write_frame(&mut conn.stream, &ack).is_err() {
                 return false;
             }
-            apply(
-                recorder,
-                engine.handle(Frame::Join {
+            engine.handle(
+                Frame::Join {
                     client: slot,
                     frame_len: ack_len,
-                }),
+                },
+                recorder,
             );
             recorder.event(Event::client_scoped(
                 EventKind::ClientJoined,
@@ -483,23 +473,23 @@ fn dispatch_upload(
         Some(round) if origin == round || origin == 0 => {
             ledger.fed.insert(slot);
             let sent_len = bytes.len();
-            apply(
-                recorder,
-                engine.handle(Frame::Upload {
+            engine.handle(
+                Frame::Upload {
                     client: slot,
                     sent_len,
                     bytes,
-                }),
+                },
+                recorder,
             );
         }
         Some(round) if origin < round => {
             ledger.fed.insert(slot);
-            apply(
-                recorder,
-                engine.handle(Frame::StaleBytes {
+            engine.handle(
+                Frame::StaleBytes {
                     client: slot,
                     bytes,
-                }),
+                },
+                recorder,
             );
         }
         // origin > round (a replayed-round race) or no round open: hold
@@ -532,7 +522,7 @@ fn broadcast(
             conn.dead = true;
             Frame::DownloadDropped { client: slot }
         };
-        apply(recorder, engine.handle(outcome));
+        engine.handle(outcome, recorder);
     }
 }
 

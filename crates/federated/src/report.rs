@@ -6,13 +6,14 @@
 //! them are *deterministic reductions over the telemetry event stream*:
 //! the federation emits one [`Event`] per occurrence and the structs are
 //! updated exclusively through [`RoundReport::apply`] /
-//! [`TransportStats::apply`], so a [`MemoryRecorder`] capture of the same
+//! [`TransportStats::apply`] — during a run, only from the in-process
+//! drivers' telemetry tee — so a [`MemoryRecorder`] capture of the same
 //! run reconstructs them exactly ([`TransportStats::from_events`],
 //! [`FaultSummary::from_events`]).
 //!
 //! [`MemoryRecorder`]: fedpower_telemetry::MemoryRecorder
 
-use fedpower_telemetry::{Event, EventKind};
+use fedpower_telemetry::{Counter, Event, EventKind, Recorder, Span};
 use serde::{Deserialize, Serialize};
 
 /// Wall-clock split of one federated round across its phases, so sweeps
@@ -261,6 +262,39 @@ impl RoundReport {
             _ => {}
         }
         self.transport.apply(event);
+    }
+}
+
+/// The in-process drivers' single telemetry choke point: every event is
+/// folded into the open round's report (if any) and the driver's running
+/// transport stats, then forwarded to the installed recorder. Counters
+/// and spans pass straight through. `Federation` and `Fleet` hand one to
+/// every [`crate::RoundEngine`] call and replay shard telemetry through
+/// it, which keeps their reports exact reductions of the emitted stream.
+#[derive(Debug)]
+pub(crate) struct Tee<'a> {
+    /// The open round's report; `None` during the join handshake.
+    pub(crate) report: Option<&'a mut RoundReport>,
+    pub(crate) transport: &'a mut TransportStats,
+    pub(crate) recorder: &'a mut dyn Recorder,
+}
+
+impl Recorder for Tee<'_> {
+    fn event(&mut self, event: Event) {
+        if let Some(report) = self.report.as_deref_mut() {
+            report.apply(&event);
+        }
+        self.transport.apply(&event);
+        self.recorder.event(event);
+    }
+    fn counter(&mut self, counter: Counter) {
+        self.recorder.counter(counter);
+    }
+    fn span(&mut self, span: Span) {
+        self.recorder.span(span);
+    }
+    fn flush(&mut self) {
+        self.recorder.flush();
     }
 }
 

@@ -831,38 +831,6 @@ impl AggregationServer {
         }
     }
 
-    /// Opens a staleness-aware buffered-async round: updates fold as they
-    /// arrive via [`AsyncRound::fold`], each discounted by
-    /// `staleness_decay^age`, and commit through
-    /// [`AggregationServer::commit_async`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `staleness_decay ∉ (0, 1]`.
-    pub fn async_round(&self, staleness_decay: f32) -> AsyncRound {
-        assert!(
-            staleness_decay > 0.0 && staleness_decay <= 1.0,
-            "staleness_decay must be in (0, 1], got {staleness_decay}"
-        );
-        AsyncRound {
-            acc: self.accumulator(),
-            decay: staleness_decay,
-            histogram: [0; STALENESS_BUCKETS],
-        }
-    }
-
-    /// Commits a buffered-async round through the ordinary
-    /// [`AggregationServer::commit_round`] path — an async round whose
-    /// folds were all age 0 commits bit-identically to a synchronous
-    /// round over the same updates.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AggregationServer::commit_round`].
-    pub fn commit_async(&mut self, round: AsyncRound) -> Result<&[f32], FedError> {
-        self.commit_round(round.acc)
-    }
-
     /// Hands the combine stage's output to the commit stage (the
     /// configured [`ServerOptimizer`]).
     fn commit(&mut self, next: Vec<f32>) {
@@ -1221,59 +1189,6 @@ impl RoundAccumulator {
             total += (q.to_f64() - m * mean * mean).max(0.0);
         }
         (total / m).sqrt() as f32
-    }
-}
-
-/// Staleness ages the [`AsyncRound`] histogram resolves individually;
-/// older folds clamp into the last bucket.
-pub const STALENESS_BUCKETS: usize = 8;
-
-/// A staleness-aware buffered-async commit in progress.
-///
-/// Generalizes the engines' synchronous straggler handling: instead of
-/// gathering a round behind one barrier, updates *fold as they arrive*,
-/// each discounted by `staleness_decay^age`, where `age` counts how many
-/// rounds behind the current global model the update trained on. Age 0
-/// (an update trained on the current θ) folds at weight exactly 1.0, so
-/// an async round whose folds are all fresh is bit-identical to a
-/// synchronous round over the same updates — the synchronous engines are
-/// the degenerate case of this API.
-///
-/// Open with [`AggregationServer::async_round`], feed with
-/// [`AsyncRound::fold`], finish with [`AggregationServer::commit_async`].
-/// The per-age histogram ([`AsyncRound::staleness_histogram`]) feeds the
-/// round's telemetry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AsyncRound {
-    acc: RoundAccumulator,
-    decay: f32,
-    histogram: [u64; STALENESS_BUCKETS],
-}
-
-impl AsyncRound {
-    /// Admission-checks `update` and folds it in at weight
-    /// `staleness_decay^age`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FedError::CorruptUpdate`] — the same admission check as
-    /// [`RoundAccumulator::admit`] — and leaves the round untouched.
-    pub fn fold(&mut self, update: ModelUpdate, age: u64) -> Result<(), FedError> {
-        let weight = self.decay.powi(age.min(i32::MAX as u64) as i32);
-        self.acc.admit(update, weight)?;
-        self.histogram[(age as usize).min(STALENESS_BUCKETS - 1)] += 1;
-        Ok(())
-    }
-
-    /// Updates folded so far (the round's quorum count).
-    pub fn folded(&self) -> usize {
-        self.acc.admitted()
-    }
-
-    /// How many updates folded at each staleness age (index = age; the
-    /// last bucket absorbs everything older).
-    pub fn staleness_histogram(&self) -> &[u64; STALENESS_BUCKETS] {
-        &self.histogram
     }
 }
 
@@ -1856,72 +1771,6 @@ mod tests {
         assert_eq!(prox.optimizer_kind(), ServerOptKind::FedProx);
         assert_eq!(ServerOpt::fedprox().prox_mu(), 0.01);
         assert_eq!(ServerOpt::FedAvg.prox_mu(), 0.0);
-    }
-
-    #[test]
-    fn async_round_with_fresh_folds_matches_the_synchronous_commit() {
-        let updates = [
-            update(0, vec![1.0, 2.0], 100),
-            update(1, vec![3.0, 6.0], 900),
-        ];
-        let mut sync = AggregationServer::new(vec![0.0; 2], AggregationStrategy::Uniform);
-        let mut async_srv = sync.clone();
-        let mut acc = sync.accumulator();
-        for u in &updates {
-            acc.admit(u.clone(), 1.0).unwrap();
-        }
-        let mut round = async_srv.async_round(0.5);
-        for u in &updates {
-            round.fold(u.clone(), 0).unwrap();
-        }
-        assert_eq!(round.folded(), 2);
-        assert_eq!(round.staleness_histogram()[0], 2);
-        let a: Vec<u32> = sync
-            .commit_round(acc)
-            .unwrap()
-            .iter()
-            .map(|p| p.to_bits())
-            .collect();
-        let b: Vec<u32> = async_srv
-            .commit_async(round)
-            .unwrap()
-            .iter()
-            .map(|p| p.to_bits())
-            .collect();
-        assert_eq!(a, b, "all-fresh async round must be bit-identical");
-    }
-
-    #[test]
-    fn async_round_discounts_stale_folds_like_the_sync_path() {
-        let decay = 0.5_f32;
-        let mut sync = AggregationServer::new(vec![0.0], AggregationStrategy::Uniform);
-        let mut async_srv = sync.clone();
-        let mut acc = sync.accumulator();
-        acc.admit(update(0, vec![4.0], 1), 1.0).unwrap();
-        acc.admit(update(1, vec![8.0], 1), decay.powi(2)).unwrap();
-        let mut round = async_srv.async_round(decay);
-        round.fold(update(0, vec![4.0], 1), 0).unwrap();
-        round.fold(update(1, vec![8.0], 1), 2).unwrap();
-        assert_eq!(round.staleness_histogram()[2], 1);
-        assert_eq!(
-            sync.commit_round(acc).unwrap(),
-            async_srv.commit_async(round).unwrap()
-        );
-    }
-
-    #[test]
-    fn async_histogram_clamps_ancient_folds_into_the_last_bucket() {
-        let server = AggregationServer::new(vec![0.0], AggregationStrategy::Uniform);
-        let mut round = server.async_round(0.9);
-        round.fold(update(0, vec![1.0], 1), 500).unwrap();
-        assert_eq!(round.staleness_histogram()[STALENESS_BUCKETS - 1], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "staleness_decay")]
-    fn async_round_rejects_out_of_range_decay() {
-        let server = AggregationServer::new(vec![0.0], AggregationStrategy::Uniform);
-        let _ = server.async_round(0.0);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! guarantees.
 
 use fedpower_agent::{ControllerConfig, DeviceEnvConfig};
-use fedpower_federated::engine::{Action, EnginePolicy, Frame, RoundEngine};
+use fedpower_federated::engine::{EnginePolicy, Frame, RoundEngine};
 use fedpower_federated::wire as fedwire;
 use fedpower_federated::{
-    run_client, serve, serve_on, AgentClient, Codec, Fault, FaultPlan, FedAvgConfig,
-    FederatedClient, Federation, JoinOptions, ModelUpdate, ServeOptions, TransportKind,
+    run_client, serve_on, AgentClient, Codec, Fault, FaultPlan, FedAvgConfig, FederatedClient,
+    Federation, JoinOptions, ModelUpdate, ServeOptions, TransportKind,
 };
 use fedpower_telemetry::{Event, EventKind, MemoryRecorder, Recorder};
 use fedpower_wire::stream::{prefix_frame, FrameReassembler};
@@ -19,13 +19,13 @@ use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
 
-/// Picks a free loopback port so two server incarnations can share one
-/// address (port 0 would bind a different port each time).
-fn free_addr() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind probe");
-    let addr = listener.local_addr().expect("probe addr").to_string();
-    drop(listener);
-    addr
+/// Binds a loopback listener on a free port. Binding before the server
+/// thread starts means clients can connect as soon as they know the
+/// address.
+fn bind() -> (TcpListener, String) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    (listener, addr)
 }
 
 fn small_config(rounds: u64) -> FedAvgConfig {
@@ -95,7 +95,7 @@ fn settle() {
 #[test]
 fn loopback_clients_and_server_complete_a_federation() {
     let config = small_config(3);
-    let addr = free_addr();
+    let (listener, addr) = bind();
     // The in-process drivers size the global from their first client;
     // the standalone server must know the shape up front.
     let initial: Vec<f32> = agent(0, AppId::Fft, 1)
@@ -104,13 +104,12 @@ fn loopback_clients_and_server_complete_a_federation() {
         .iter()
         .map(|_| 0.0)
         .collect();
-    let mut opts = ServeOptions::new(2, config, initial);
-    opts.addr = addr.clone();
+    let opts = ServeOptions::new(2, config, initial);
     let recorder = MemoryRecorder::new();
     let server = {
         let opts = opts.clone();
         let mut rec = recorder.clone();
-        thread::spawn(move || serve(&opts, &mut rec).expect("serve"))
+        thread::spawn(move || serve_on(listener, &opts, &mut rec).expect("serve"))
     };
     let joiners: Vec<_> = [(0, AppId::Fft, 1u64), (1, AppId::Ocean, 2u64)]
         .into_iter()
@@ -146,16 +145,6 @@ fn loopback_clients_and_server_complete_a_federation() {
     );
 }
 
-fn apply(recorder: &mut dyn Recorder, actions: Vec<Action>) {
-    for action in actions {
-        match action {
-            Action::Emit(event) => recorder.event(event),
-            Action::Count(counter) => recorder.counter(counter),
-            Action::Divergence(_) => {}
-        }
-    }
-}
-
 /// Mid-round disconnect + rejoin (ISSUE-10 satellite): client 1's
 /// round-1 upload is accepted, it drops mid-round-2 (socket close →
 /// `Frame::Offline` → `ClientLeft`), and rejoins for round 3. The TCP
@@ -168,14 +157,13 @@ fn apply(recorder: &mut dyn Recorder, actions: Vec<Action>) {
 fn mid_round_disconnect_and_rejoin_matches_the_fault_plan_accounting() {
     let dim = 4;
     let config = small_config(3);
-    let addr = free_addr();
-    let mut opts = ServeOptions::new(2, config, vec![0.25; dim]);
-    opts.addr = addr.clone();
+    let (listener, addr) = bind();
+    let opts = ServeOptions::new(2, config, vec![0.25; dim]);
     let recorder = MemoryRecorder::new();
     let server = {
         let opts = opts.clone();
         let mut rec = recorder.clone();
-        thread::spawn(move || serve(&opts, &mut rec).expect("serve"))
+        thread::spawn(move || serve_on(listener, &opts, &mut rec).expect("serve"))
     };
 
     // Fixed, deterministic client updates: round r, client c uploads
@@ -235,11 +223,13 @@ fn mid_round_disconnect_and_rejoin_matches_the_fault_plan_accounting() {
     let mut engine = RoundEngine::new(opts.initial_global.clone(), policy, vec![0, 1]);
     let join = |engine: &mut RoundEngine, rec: &mut dyn Recorder, slot: usize| {
         let ack = fedwire::encode_join_ack_at(engine.rounds_run(), slot, engine.global());
-        let actions = engine.handle(Frame::Join {
-            client: slot,
-            frame_len: ack.len(),
-        });
-        apply(rec, actions);
+        engine.handle(
+            Frame::Join {
+                client: slot,
+                frame_len: ack.len(),
+            },
+            rec,
+        );
         rec.event(Event::client_scoped(
             EventKind::ClientJoined,
             engine.rounds_run(),
@@ -249,49 +239,53 @@ fn mid_round_disconnect_and_rejoin_matches_the_fault_plan_accounting() {
     let upload = |engine: &mut RoundEngine, rec: &mut dyn Recorder, slot: usize, round: u64| {
         let bytes = frame(slot, round);
         let sent_len = bytes.len();
-        let actions = engine.handle(Frame::Upload {
-            client: slot,
-            sent_len,
-            bytes,
-        });
-        apply(rec, actions);
+        engine.handle(
+            Frame::Upload {
+                client: slot,
+                sent_len,
+                bytes,
+            },
+            rec,
+        );
     };
     let deliver = |engine: &mut RoundEngine, rec: &mut dyn Recorder, slot: usize, round: u64| {
         let len = fedwire::encode_broadcast(round, slot, engine.global()).len();
-        let actions = engine.handle(Frame::Delivered {
-            client: slot,
-            frame_len: len,
-        });
-        apply(rec, actions);
+        engine.handle(
+            Frame::Delivered {
+                client: slot,
+                frame_len: len,
+            },
+            rec,
+        );
     };
     join(&mut engine, rec, 0);
     join(&mut engine, rec, 1);
     // Round 1.
-    apply(rec, engine.handle(Frame::BeginRound));
+    engine.handle(Frame::BeginRound, rec);
     upload(&mut engine, rec, 0, 1);
     upload(&mut engine, rec, 1, 1);
-    apply(rec, engine.handle(Frame::CloseRound));
+    engine.handle(Frame::CloseRound, rec);
     deliver(&mut engine, rec, 0, 1);
     deliver(&mut engine, rec, 1, 1);
-    apply(rec, engine.handle(Frame::EndRound));
+    engine.handle(Frame::EndRound, rec);
     // Round 2: B drops mid-round.
-    apply(rec, engine.handle(Frame::BeginRound));
+    engine.handle(Frame::BeginRound, rec);
     upload(&mut engine, rec, 0, 2);
-    apply(rec, engine.handle(Frame::Offline { client: 1 }));
+    engine.handle(Frame::Offline { client: 1 }, rec);
     rec.event(Event::client_scoped(EventKind::ClientLeft, 2, 1));
     engine.leave(1);
-    apply(rec, engine.handle(Frame::CloseRound));
+    engine.handle(Frame::CloseRound, rec);
     deliver(&mut engine, rec, 0, 2);
-    apply(rec, engine.handle(Frame::EndRound));
+    engine.handle(Frame::EndRound, rec);
     // Round 3: B rejoins.
     join(&mut engine, rec, 1);
-    apply(rec, engine.handle(Frame::BeginRound));
+    engine.handle(Frame::BeginRound, rec);
     upload(&mut engine, rec, 1, 3);
     upload(&mut engine, rec, 0, 3);
-    apply(rec, engine.handle(Frame::CloseRound));
+    engine.handle(Frame::CloseRound, rec);
     deliver(&mut engine, rec, 0, 3);
     deliver(&mut engine, rec, 1, 3);
-    apply(rec, engine.handle(Frame::EndRound));
+    engine.handle(Frame::EndRound, rec);
 
     assert_eq!(
         engine.global(),
@@ -353,8 +347,7 @@ fn halted_server_resumes_bit_identically_after_restart() {
     let initial: Vec<f32> = probe.params.iter().map(|_| 0.0).collect();
 
     let run = |halt_at_2: bool, checkpoint: Option<std::path::PathBuf>| {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
+        let (listener, addr) = bind();
         let config = small_config(rounds);
         let mut opts = ServeOptions::new(2, config, initial.clone());
         opts.checkpoint = checkpoint;

@@ -9,10 +9,7 @@ use common::MathClient;
 use fedpower::core::experiment::run_federated;
 use fedpower::core::scenario::table2_scenarios;
 use fedpower::core::ExperimentConfig;
-use fedpower::federated::{
-    AggregationServer, AggregationStrategy, FedAvgConfig, Federation, ModelUpdate, ServerOpt,
-    ServerOptKind,
-};
+use fedpower::federated::{FedAvgConfig, Federation, ServerOpt, ServerOptKind};
 
 fn bits(params: &[f32]) -> Vec<u32> {
     params.iter().map(|p| p.to_bits()).collect()
@@ -102,39 +99,6 @@ fn fedprox_positive_mu_changes_local_training() {
         bits(&prox.agents[0].params()),
         "a strong proximal pull must alter the learned policy"
     );
-}
-
-/// The buffered-async commit with every update arriving at staleness age 0
-/// is a synchronous round: same accumulator arithmetic, same committed
-/// bits.
-#[test]
-fn buffered_async_with_fresh_updates_matches_a_synchronous_round() {
-    let initial = vec![0.125_f32, -0.5, 0.75];
-    let updates: Vec<ModelUpdate> = (0..5)
-        .map(|id| ModelUpdate {
-            client_id: id,
-            params: vec![0.1 * (id as f32 + 1.0), 0.2, -0.3 * id as f32],
-            num_samples: 10 * (id as u64 + 1),
-        })
-        .collect();
-    for strategy in [
-        AggregationStrategy::Uniform,
-        AggregationStrategy::SampleWeighted,
-    ] {
-        let mut sync = AggregationServer::new(initial.clone(), strategy);
-        let mut buffered = sync.clone();
-        let mut acc = sync.accumulator();
-        for u in &updates {
-            acc.admit(u.clone(), 1.0).unwrap();
-        }
-        let mut round = buffered.async_round(0.5);
-        for u in &updates {
-            round.fold(u.clone(), 0).unwrap();
-        }
-        let a = bits(sync.commit_round(acc).unwrap());
-        let b = bits(buffered.commit_async(round).unwrap());
-        assert_eq!(a, b, "{strategy:?}");
-    }
 }
 
 /// The optimizer kind travels intact from config to server.
