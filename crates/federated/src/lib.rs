@@ -12,10 +12,13 @@
 //!
 //! Components:
 //!
-//! * [`AggregationServer`] — synchronous parameter averaging with
-//!   [`AggregationStrategy`] (the paper's unweighted mean plus a
-//!   sample-weighted extension) feeding a [`ServerOptimizer`] commit stage
-//!   ([`ServerOpt::FedAvg`], [`ServerOpt::FedAdam`], [`ServerOpt::FedProx`]),
+//! * [`AggregationServer`] — synchronous parameter averaging: a
+//!   [`RoundAccumulator`] combines each round under an
+//!   [`AggregationStrategy`] (the paper's unweighted mean, a
+//!   sample-weighted extension, and robust trimmed-mean/median rules), and
+//!   [`AggregationServer::commit_round`] commits the result through the
+//!   configured [`ServerOpt`] ([`ServerOpt::FedAvg`], [`ServerOpt::FedAdam`],
+//!   [`ServerOpt::FedProx`]),
 //! * [`AgentClient`] — a [`FederatedClient`] wrapping a power controller
 //!   and its simulated device,
 //! * [`Federation`] — round orchestration (`R` rounds × `T` local steps),
@@ -87,8 +90,7 @@ pub use fleet::{EdgeAggregator, Fleet, FleetClientFactory, FleetConfig};
 pub use netserver::{run_client, serve, serve_on, JoinOptions, ServeOptions, ServeReport};
 pub use pool::WorkerPool;
 pub use server::{
-    AggregationServer, AggregationStrategy, FedAdamCommit, FedAvgCommit, FedProxCommit,
-    RoundAccumulator, ServerOpt, ServerOptKind, ServerOptimizer,
+    AggregationServer, AggregationStrategy, RoundAccumulator, ServerOpt, ServerOptKind,
 };
 pub use td_client::TdClient;
 pub use transport::{ChannelTransport, TcpTransport, Transport, TransportKind};

@@ -210,212 +210,62 @@ impl ServerOpt {
     }
 }
 
-/// Commit-stage policy of the two-stage aggregation pipeline.
+/// The commit stage of the two-stage aggregation pipeline: how the
+/// combine stage's output `next` (one aggregate model, see
+/// [`RoundAccumulator`]) folds into the global model θ.
 ///
-/// Aggregation is split into a *combine* stage — the
-/// [`RoundAccumulator`]/[`AggregationStrategy`] machinery reducing the
-/// round's admitted updates to one aggregate model — and a *commit* stage
-/// deciding how that aggregate folds into the global model θ. A
-/// `ServerOptimizer` is the commit stage: `commit` consumes the combine
-/// stage's output `next` (same length as `global`, guaranteed by
-/// admission) and updates `global` in place. Implementations own whatever
-/// cross-round state they need (momentum velocity, Adam moments) and must
-/// allocate it once at construction so the steady-state commit stays
-/// allocation-free.
-pub trait ServerOptimizer {
-    /// Folds the combined round model `next` into `global`.
-    fn commit(&mut self, global: &mut Vec<f32>, next: Vec<f32>);
-
-    /// Which optimizer this is, for config echo and telemetry.
-    fn kind(&self) -> ServerOptKind;
-}
-
-/// The FedAvg commit: the aggregate replaces θ directly, or — with
-/// FedAvgM momentum β > 0 — through the smoothed velocity
-/// `v ← β·v + (θ − next)`, `θ ← θ − v` (Hsu et al. 2019).
+/// Each variant owns its cross-round state, allocated once at
+/// construction so the steady-state commit never allocates. FedProx
+/// commits as [`Commit::Avg`]: its proximal term μ/2·‖w − θ‖² acts on the
+/// *client* objective, which the engines thread into local training.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FedAvgCommit {
-    momentum: f32,
-    velocity: Vec<f32>,
+enum Commit {
+    /// The FedAvg assignment: the aggregate replaces θ directly, or — with
+    /// FedAvgM momentum β > 0 — through the smoothed velocity
+    /// `v ← β·v + (θ − next)`, `θ ← θ − v` (Hsu et al. 2019).
+    Avg { momentum: f32, velocity: Vec<f32> },
+    /// FedAdam (Reddi et al. 2021): the round's pseudo-gradient
+    /// `g = θ − next` drives per-coordinate Adam moments `m`, `v`, and θ
+    /// moves by the adaptive step instead of the raw aggregate; `t` counts
+    /// committed rounds for bias correction.
+    ///
+    /// Two deliberate arithmetic choices make the optimizer *reduce to
+    /// FedAvg bit-for-bit* in the degenerate corner (DESIGN.md §13): the
+    /// denominator is `max(√v̂, ε)` rather than `√v̂ + ε`, and the
+    /// write-back is anchored on the aggregate — `θᵢ ← nextᵢ + (gᵢ − stepᵢ)`
+    /// — rather than on θ. With β₁ = β₂ = 0, η = 1 and an ε-dominated
+    /// denominator, `stepᵢ = gᵢ` exactly, the parenthesis is zero, and the
+    /// commit is the FedAvg assignment.
+    Adam {
+        lr: f32,
+        beta1: f32,
+        beta2: f32,
+        eps: f32,
+        t: u64,
+        m: Vec<f32>,
+        v: Vec<f32>,
+    },
 }
 
-impl FedAvgCommit {
-    /// A commit stage for models of `model_len` parameters.
+impl Commit {
+    /// The commit stage `opt` selects, for models of `model_len`
+    /// parameters.
     ///
     /// # Panics
     ///
-    /// Panics if `momentum ∉ [0, 1)`.
-    pub fn new(model_len: usize, momentum: f32) -> Self {
+    /// Panics when the hyperparameters fail [`ServerOpt::validate`], when
+    /// `momentum ∉ [0, 1)`, or when `momentum > 0` is combined with
+    /// FedAdam (`server_momentum` is a FedAvg(M) setting; FedAdam
+    /// maintains its own moments).
+    fn new(model_len: usize, momentum: f32, opt: ServerOpt) -> Self {
+        if let Err(msg) = opt.validate() {
+            panic!("{msg}");
+        }
         assert!(
             (0.0..1.0).contains(&momentum),
             "momentum must be in [0, 1), got {momentum}"
         );
-        FedAvgCommit {
-            momentum,
-            velocity: vec![0.0; model_len],
-        }
-    }
-}
-
-impl ServerOptimizer for FedAvgCommit {
-    fn commit(&mut self, global: &mut Vec<f32>, next: Vec<f32>) {
-        if self.momentum > 0.0 {
-            #[allow(clippy::needless_range_loop)] // index couples global, next, velocity
-            for i in 0..global.len() {
-                let delta = global[i] - next[i];
-                self.velocity[i] = self.momentum * self.velocity[i] + delta;
-                global[i] -= self.velocity[i];
-            }
-        } else {
-            *global = next;
-        }
-    }
-
-    fn kind(&self) -> ServerOptKind {
-        ServerOptKind::FedAvg
-    }
-}
-
-/// The FedAdam commit (Reddi et al. 2021): the round's pseudo-gradient
-/// `g = θ − next` drives per-coordinate Adam moments, and θ moves by the
-/// adaptive step instead of the raw aggregate.
-///
-/// Two deliberate arithmetic choices make the optimizer *reduce to
-/// FedAvg bit-for-bit* in the degenerate corner (DESIGN.md §13): the
-/// denominator is `max(√v̂, ε)` rather than `√v̂ + ε`, and the write-back
-/// is anchored on the aggregate — `θᵢ ← nextᵢ + (gᵢ − stepᵢ)` — rather
-/// than on θ. With β₁ = β₂ = 0, η = 1 and an ε-dominated denominator,
-/// `stepᵢ = gᵢ` exactly, the parenthesis is zero, and the commit is the
-/// FedAvg assignment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FedAdamCommit {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    /// Rounds committed (Adam's bias-correction step count).
-    t: u64,
-    /// First moment, allocated once — the commit stage never allocates.
-    m: Vec<f32>,
-    /// Second moment, allocated once.
-    v: Vec<f32>,
-}
-
-impl FedAdamCommit {
-    /// A commit stage for models of `model_len` parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr`/`eps` are not positive finite or a β ∉ [0, 1).
-    pub fn new(model_len: usize, lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
-        let opt = ServerOpt::FedAdam {
-            lr,
-            beta1,
-            beta2,
-            eps,
-        };
-        if let Err(msg) = opt.validate() {
-            panic!("{msg}");
-        }
-        FedAdamCommit {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            t: 0,
-            m: vec![0.0; model_len],
-            v: vec![0.0; model_len],
-        }
-    }
-}
-
-impl ServerOptimizer for FedAdamCommit {
-    fn commit(&mut self, global: &mut Vec<f32>, next: Vec<f32>) {
-        self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        #[allow(clippy::needless_range_loop)] // index couples global, next, moments
-        for i in 0..global.len() {
-            let g = global[i] - next[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = self.m[i] / b1t;
-            let v_hat = self.v[i] / b2t;
-            let step = self.lr * (m_hat / v_hat.sqrt().max(self.eps));
-            global[i] = next[i] + (g - step);
-        }
-    }
-
-    fn kind(&self) -> ServerOptKind {
-        ServerOptKind::FedAdam
-    }
-}
-
-/// The FedProx commit (Li et al. 2020). The proximal term μ/2·‖w − θ‖²
-/// acts on the *client* objective — engines thread μ into the clients'
-/// local training — so the server-side commit is exactly FedAvg's; the
-/// struct carries μ for config echo and reports the right kind.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FedProxCommit {
-    mu: f32,
-    inner: FedAvgCommit,
-}
-
-impl FedProxCommit {
-    /// A commit stage for models of `model_len` parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mu` is negative or non-finite, or `momentum ∉ [0, 1)`.
-    pub fn new(model_len: usize, momentum: f32, mu: f32) -> Self {
-        if let Err(msg) = (ServerOpt::FedProx { mu }).validate() {
-            panic!("{msg}");
-        }
-        FedProxCommit {
-            mu,
-            inner: FedAvgCommit::new(model_len, momentum),
-        }
-    }
-
-    /// The proximal coefficient clients train under.
-    pub fn mu(&self) -> f32 {
-        self.mu
-    }
-}
-
-impl ServerOptimizer for FedProxCommit {
-    fn commit(&mut self, global: &mut Vec<f32>, next: Vec<f32>) {
-        self.inner.commit(global, next);
-    }
-
-    fn kind(&self) -> ServerOptKind {
-        ServerOptKind::FedProx
-    }
-}
-
-/// The server's optimizer state — an enum delegating to the concrete
-/// [`ServerOptimizer`]s rather than a boxed trait object, so
-/// [`AggregationServer`] keeps its `Clone`/`PartialEq` derives.
-#[derive(Debug, Clone, PartialEq)]
-// Variants deliberately mirror [`ServerOpt`]'s names one-to-one.
-#[allow(clippy::enum_variant_names)]
-enum CommitState {
-    FedAvg(FedAvgCommit),
-    FedAdam(FedAdamCommit),
-    FedProx(FedProxCommit),
-}
-
-impl CommitState {
-    /// Builds the optimizer state a [`ServerOpt`] selects.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the hyperparameters fail [`ServerOpt::validate`], or
-    /// when `momentum > 0` is combined with FedAdam (`server_momentum` is
-    /// a FedAvg(M) setting; FedAdam maintains its own moments).
-    fn from_config(model_len: usize, momentum: f32, opt: ServerOpt) -> Self {
         match opt {
-            ServerOpt::FedAvg => CommitState::FedAvg(FedAvgCommit::new(model_len, momentum)),
             ServerOpt::FedAdam {
                 lr,
                 beta1,
@@ -427,39 +277,68 @@ impl CommitState {
                     "server_momentum is a FedAvg(M) setting and must be 0 under FedAdam \
                      (FedAdam maintains its own moments), got {momentum}"
                 );
-                CommitState::FedAdam(FedAdamCommit::new(model_len, lr, beta1, beta2, eps))
+                Commit::Adam {
+                    lr,
+                    beta1,
+                    beta2,
+                    eps,
+                    t: 0,
+                    m: vec![0.0; model_len],
+                    v: vec![0.0; model_len],
+                }
             }
-            ServerOpt::FedProx { mu } => {
-                CommitState::FedProx(FedProxCommit::new(model_len, momentum, mu))
-            }
+            ServerOpt::FedAvg | ServerOpt::FedProx { .. } => Commit::Avg {
+                momentum,
+                velocity: vec![0.0; model_len],
+            },
         }
     }
-}
 
-impl ServerOptimizer for CommitState {
-    fn commit(&mut self, global: &mut Vec<f32>, next: Vec<f32>) {
+    /// Folds the combined round model `next` (same length as `global`,
+    /// guaranteed by admission) into `global`.
+    fn apply(&mut self, global: &mut Vec<f32>, next: Vec<f32>) {
         match self {
-            CommitState::FedAvg(o) => o.commit(global, next),
-            CommitState::FedAdam(o) => o.commit(global, next),
-            CommitState::FedProx(o) => o.commit(global, next),
-        }
-    }
-
-    fn kind(&self) -> ServerOptKind {
-        match self {
-            CommitState::FedAvg(o) => o.kind(),
-            CommitState::FedAdam(o) => o.kind(),
-            CommitState::FedProx(o) => o.kind(),
+            Commit::Avg { momentum, velocity } if *momentum > 0.0 => {
+                for ((theta, n), v) in global.iter_mut().zip(&next).zip(velocity) {
+                    *v = *momentum * *v + (*theta - n);
+                    *theta -= *v;
+                }
+            }
+            Commit::Avg { .. } => *global = next,
+            Commit::Adam {
+                lr,
+                beta1,
+                beta2,
+                eps,
+                t,
+                m,
+                v,
+            } => {
+                *t += 1;
+                let b1t = 1.0 - beta1.powi(*t as i32);
+                let b2t = 1.0 - beta2.powi(*t as i32);
+                for (((theta, n), mi), vi) in global.iter_mut().zip(&next).zip(m).zip(v) {
+                    let g = *theta - n;
+                    *mi = *beta1 * *mi + (1.0 - *beta1) * g;
+                    *vi = *beta2 * *vi + (1.0 - *beta2) * g * g;
+                    let m_hat = *mi / b1t;
+                    let v_hat = *vi / b2t;
+                    let step = *lr * (m_hat / v_hat.sqrt().max(*eps));
+                    *theta = n + (g - step);
+                }
+            }
         }
     }
 }
 
 /// The central aggregation server of Algorithm 2.
 ///
-/// Aggregation is synchronous: the caller collects all participating
-/// clients' updates before invoking [`AggregationServer::aggregate`]. An
-/// optional server momentum (FedAvgM, Hsu et al. 2019) smooths the global
-/// trajectory across rounds.
+/// A round is combined by a [`RoundAccumulator`] (opened with
+/// [`AggregationServer::accumulator`], fed with
+/// [`RoundAccumulator::admit`]) and committed into θ by
+/// [`AggregationServer::commit_round`] through the [`ServerOpt`] the
+/// server was built with. An optional server momentum (FedAvgM, Hsu et
+/// al. 2019) smooths the global trajectory across rounds.
 ///
 /// # Example
 ///
@@ -467,11 +346,10 @@ impl ServerOptimizer for CommitState {
 /// # fn main() -> Result<(), fedpower_federated::FedError> {
 /// use fedpower_federated::{AggregationStrategy, AggregationServer, ModelUpdate};
 /// let mut server = AggregationServer::new(vec![0.0; 2], AggregationStrategy::Uniform);
-/// let global = server.aggregate(&[
-///     ModelUpdate { client_id: 0, params: vec![1.0, 2.0], num_samples: 100 },
-///     ModelUpdate { client_id: 1, params: vec![3.0, 4.0], num_samples: 100 },
-/// ])?;
-/// assert_eq!(global, &[2.0, 3.0]);
+/// let mut round = server.accumulator();
+/// round.admit(ModelUpdate { client_id: 0, params: vec![1.0, 2.0], num_samples: 100 }, 1.0)?;
+/// round.admit(ModelUpdate { client_id: 1, params: vec![3.0, 4.0], num_samples: 100 }, 1.0)?;
+/// assert_eq!(server.commit_round(round)?, &[2.0, 3.0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -479,7 +357,8 @@ impl ServerOptimizer for CommitState {
 pub struct AggregationServer {
     global: Vec<f32>,
     strategy: AggregationStrategy,
-    opt: CommitState,
+    kind: ServerOptKind,
+    commit: Commit,
     rounds_completed: u64,
 }
 
@@ -491,24 +370,14 @@ impl AggregationServer {
     ///
     /// Panics if `initial` is empty.
     pub fn new(initial: Vec<f32>, strategy: AggregationStrategy) -> Self {
-        Self::with_momentum(initial, strategy, 0.0)
-    }
-
-    /// Creates a server applying FedAvgM server momentum: with β > 0 the
-    /// per-round model delta is accumulated as
-    /// `v ← β·v + (θ_r − aggregate)` and `θ_{r+1} = θ_r − v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `momentum ∉ [0, 1)`.
-    pub fn with_momentum(initial: Vec<f32>, strategy: AggregationStrategy, momentum: f32) -> Self {
-        Self::with_optimizer(initial, strategy, momentum, ServerOpt::FedAvg)
+        Self::with_optimizer(initial, strategy, 0.0, ServerOpt::FedAvg)
     }
 
     /// The fully general constructor: combine under `strategy`, commit
-    /// through the [`ServerOptimizer`] that `optimizer` selects.
-    /// `momentum` is FedAvgM's β and applies to the FedAvg-commit
-    /// optimizers only (it must be 0 under FedAdam).
+    /// through the optimizer that `optimizer` selects. `momentum` is
+    /// FedAvgM's β — with β > 0 the per-round model delta accumulates as
+    /// `v ← β·v + (θ_r − aggregate)` and `θ_{r+1} = θ_r − v` — and applies
+    /// to the FedAvg-commit optimizers only (it must be 0 under FedAdam).
     ///
     /// # Panics
     ///
@@ -521,11 +390,12 @@ impl AggregationServer {
         optimizer: ServerOpt,
     ) -> Self {
         assert!(!initial.is_empty(), "global model cannot be empty");
-        let opt = CommitState::from_config(initial.len(), momentum, optimizer);
+        let commit = Commit::new(initial.len(), momentum, optimizer);
         AggregationServer {
             global: initial,
             strategy,
-            opt,
+            kind: optimizer.kind(),
+            commit,
             rounds_completed: 0,
         }
     }
@@ -542,7 +412,7 @@ impl AggregationServer {
 
     /// Which server optimizer commits this server's rounds.
     pub fn optimizer_kind(&self) -> ServerOptKind {
-        self.opt.kind()
+        self.kind
     }
 
     /// Rounds aggregated so far.
@@ -563,16 +433,15 @@ impl AggregationServer {
             }
         }
         let mut out = Vec::new();
-        out.push(self.opt.kind().code() as u8);
+        out.push(self.kind.code() as u8);
         out.extend_from_slice(&self.rounds_completed.to_le_bytes());
-        match &self.opt {
-            CommitState::FedAvg(o) => put_params(&mut out, &o.velocity),
-            CommitState::FedAdam(o) => {
-                out.extend_from_slice(&o.t.to_le_bytes());
-                put_params(&mut out, &o.m);
-                put_params(&mut out, &o.v);
+        match &self.commit {
+            Commit::Avg { velocity, .. } => put_params(&mut out, velocity),
+            Commit::Adam { t, m, v, .. } => {
+                out.extend_from_slice(&t.to_le_bytes());
+                put_params(&mut out, m);
+                put_params(&mut out, v);
             }
-            CommitState::FedProx(o) => put_params(&mut out, &o.inner.velocity),
         }
         out
     }
@@ -589,42 +458,29 @@ impl AggregationServer {
     pub(crate) fn restore_opt_state(&mut self, blob: &[u8]) -> Result<(), FedError> {
         let mut cur = OptBlobCursor { buf: blob, pos: 0 };
         let kind = cur.u8()?;
-        if kind != self.opt.kind().code() as u8 {
+        if kind != self.kind.code() as u8 {
             return Err(FedError::InvalidConfig(format!(
                 "checkpoint optimizer kind {kind} does not match the configured {:?}",
-                self.opt.kind()
+                self.kind
             )));
         }
         let rounds_completed = cur.u64()?;
-        let opt = match &self.opt {
-            CommitState::FedAvg(o) => CommitState::FedAvg(FedAvgCommit {
-                momentum: o.momentum,
-                velocity: cur.params(o.velocity.len())?,
-            }),
-            CommitState::FedAdam(o) => {
-                let t = cur.u64()?;
-                CommitState::FedAdam(FedAdamCommit {
-                    t,
-                    m: cur.params(o.m.len())?,
-                    v: cur.params(o.v.len())?,
-                    ..o.clone()
-                })
+        let mut commit = self.commit.clone();
+        match &mut commit {
+            Commit::Avg { velocity, .. } => *velocity = cur.params(velocity.len())?,
+            Commit::Adam { t, m, v, .. } => {
+                *t = cur.u64()?;
+                *m = cur.params(m.len())?;
+                *v = cur.params(v.len())?;
             }
-            CommitState::FedProx(o) => CommitState::FedProx(FedProxCommit {
-                mu: o.mu,
-                inner: FedAvgCommit {
-                    momentum: o.inner.momentum,
-                    velocity: cur.params(o.inner.velocity.len())?,
-                },
-            }),
-        };
+        }
         if cur.pos != blob.len() {
             return Err(FedError::InvalidConfig(format!(
                 "optimizer blob has {} trailing bytes",
                 blob.len() - cur.pos
             )));
         }
-        self.opt = opt;
+        self.commit = commit;
         self.rounds_completed = rounds_completed;
         Ok(())
     }
@@ -640,118 +496,6 @@ impl AggregationServer {
         self.global = global;
     }
 
-    /// Combines client updates into the next global model and returns it.
-    ///
-    /// Mean-based strategies compute `θ_{r+1} = Σ w_n · θ_r^n`; the robust
-    /// strategies aggregate each coordinate independently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FedError::EmptyRound`] when no updates were supplied,
-    /// [`FedError::Model`] when parameter vectors disagree in shape, and
-    /// [`FedError::InvalidConfig`] when a trimmed mean would discard every
-    /// contribution.
-    pub fn aggregate(&mut self, updates: &[ModelUpdate]) -> Result<&[f32], FedError> {
-        if updates.is_empty() {
-            return Err(FedError::EmptyRound);
-        }
-        let models: Vec<&[f32]> = updates.iter().map(|u| u.params.as_slice()).collect();
-        let next = match self.strategy {
-            AggregationStrategy::Uniform => {
-                let weights = vec![1.0 / updates.len() as f32; updates.len()];
-                average_params(&models, &weights)?
-            }
-            AggregationStrategy::SampleWeighted => {
-                let total: u64 = updates.iter().map(|u| u.num_samples).sum();
-                let weights: Vec<f32> = if total == 0 {
-                    vec![1.0 / updates.len() as f32; updates.len()]
-                } else {
-                    updates
-                        .iter()
-                        .map(|u| u.num_samples as f32 / total as f32)
-                        .collect()
-                };
-                average_params(&models, &weights)?
-            }
-            AggregationStrategy::TrimmedMean { trim_each_side } => {
-                if 2 * trim_each_side >= updates.len() {
-                    return Err(FedError::InvalidConfig(format!(
-                        "trimming {trim_each_side} per side discards all {} updates",
-                        updates.len()
-                    )));
-                }
-                Self::coordinate_wise(&models, |sorted| {
-                    let kept = &sorted[trim_each_side..sorted.len() - trim_each_side];
-                    kept.iter().sum::<f32>() / kept.len() as f32
-                })?
-            }
-            AggregationStrategy::CoordinateMedian => Self::coordinate_wise(&models, |sorted| {
-                let n = sorted.len();
-                if n % 2 == 1 {
-                    sorted[n / 2]
-                } else {
-                    (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-                }
-            })?,
-        };
-        self.commit(next);
-        Ok(&self.global)
-    }
-
-    /// Combines client updates under explicit per-update weights (used to
-    /// discount straggler updates by staleness). Weights are normalized to
-    /// sum to 1; the strategy's own weighting is bypassed.
-    ///
-    /// Note: `aggregate_weighted` with unit weights is *not* guaranteed to
-    /// be bit-identical to [`AggregationServer::aggregate`] (normalization
-    /// arithmetic differs); callers keep the fault-free path on
-    /// `aggregate`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FedError::EmptyRound`] when no updates were supplied,
-    /// [`FedError::InvalidConfig`] when `weights` mismatches `updates` in
-    /// length or has a non-positive/non-finite sum, and [`FedError::Model`]
-    /// when parameter vectors disagree in shape.
-    pub fn aggregate_weighted(
-        &mut self,
-        updates: &[ModelUpdate],
-        weights: &[f32],
-    ) -> Result<&[f32], FedError> {
-        if updates.is_empty() {
-            return Err(FedError::EmptyRound);
-        }
-        if weights.len() != updates.len() {
-            return Err(FedError::InvalidConfig(format!(
-                "{} weights for {} updates",
-                weights.len(),
-                updates.len()
-            )));
-        }
-        let total: f32 = weights.iter().sum();
-        if !(total.is_finite() && total > 0.0) {
-            return Err(FedError::InvalidConfig(format!(
-                "weights must sum to a positive finite value, got {total}"
-            )));
-        }
-        let models: Vec<&[f32]> = updates.iter().map(|u| u.params.as_slice()).collect();
-        let normalized: Vec<f32> = weights.iter().map(|w| w / total).collect();
-        let next = average_params(&models, &normalized)?;
-        self.commit(next);
-        Ok(&self.global)
-    }
-
-    /// Admission check for an arriving update: every parameter finite and
-    /// the shape matching the global model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FedError::CorruptUpdate`] naming the offending client and
-    /// the first violation found.
-    pub fn validate_update(&self, update: &ModelUpdate) -> Result<(), FedError> {
-        validate_against(self.global.len(), update)
-    }
-
     /// Opens a streaming accumulator for one round of updates.
     ///
     /// Updates admitted into the accumulator are folded incrementally —
@@ -765,106 +509,26 @@ impl AggregationServer {
         RoundAccumulator::for_model(self.strategy, self.global.len())
     }
 
-    /// Aggregates an accumulated round into the next global model.
+    /// Combines an accumulated round into one aggregate model and commits
+    /// it into θ — the only way a round reaches the global model.
     ///
-    /// Semantics match the per-`Vec` paths: a round whose admitted updates
-    /// all carry unit weight aggregates under the configured strategy
-    /// (like [`AggregationServer::aggregate`]); as soon as any update was
+    /// A round whose admitted updates all carry unit weight combines under
+    /// the configured strategy; as soon as any update was
     /// staleness-discounted the explicit weights take over and the
-    /// strategy is bypassed (like [`AggregationServer::aggregate_weighted`]).
+    /// strategy is bypassed: the round commits the normalized weighted
+    /// mean of every admitted model.
     ///
     /// # Errors
     ///
-    /// Returns [`FedError::EmptyRound`] when nothing was admitted, and the
-    /// robust strategies' [`FedError::InvalidConfig`] /
-    /// [`FedError::Model`] errors unchanged. A failed round leaves θ
-    /// intact.
+    /// Returns [`FedError::EmptyRound`] when nothing was admitted,
+    /// [`FedError::InvalidConfig`] when a trimmed mean would discard every
+    /// update or the explicit weights do not sum to a positive finite
+    /// value. A failed round leaves θ intact.
     pub fn commit_round(&mut self, acc: RoundAccumulator) -> Result<&[f32], FedError> {
-        if acc.admitted == 0 {
-            return Err(FedError::EmptyRound);
-        }
-        match acc.mode {
-            AccMode::Buffered { updates, weights } => {
-                if acc.all_unit {
-                    self.aggregate(&updates)
-                } else {
-                    self.aggregate_weighted(&updates, &weights)
-                }
-            }
-            AccMode::Streaming {
-                weighted_sum,
-                total_weight,
-                samples_sum,
-                total_samples,
-            } => {
-                let next: Vec<f32> = if !acc.all_unit {
-                    let total = total_weight.to_f64();
-                    if !(total.is_finite() && total > 0.0) {
-                        return Err(FedError::InvalidConfig(format!(
-                            "weights must sum to a positive finite value, got {total}"
-                        )));
-                    }
-                    weighted_sum
-                        .iter()
-                        .map(|s| (s.to_f64() / total) as f32)
-                        .collect()
-                } else {
-                    match (self.strategy, total_samples) {
-                        (AggregationStrategy::SampleWeighted, 1..) => samples_sum
-                            .expect("SampleWeighted streams a sample-weighted sum")
-                            .iter()
-                            .map(|s| (s.to_f64() / total_samples as f64) as f32)
-                            .collect(),
-                        // Uniform, or SampleWeighted's zero-sample fallback.
-                        _ => {
-                            let n = acc.admitted as f64;
-                            weighted_sum
-                                .iter()
-                                .map(|s| (s.to_f64() / n) as f32)
-                                .collect()
-                        }
-                    }
-                };
-                self.commit(next);
-                Ok(&self.global)
-            }
-        }
-    }
-
-    /// Hands the combine stage's output to the commit stage (the
-    /// configured [`ServerOptimizer`]).
-    fn commit(&mut self, next: Vec<f32>) {
-        self.opt.commit(&mut self.global, next);
+        let next = acc.combine()?;
+        self.commit.apply(&mut self.global, next);
         self.rounds_completed += 1;
-    }
-
-    /// Applies `combine` to the sorted per-coordinate value sets.
-    fn coordinate_wise<F: Fn(&[f32]) -> f32>(
-        models: &[&[f32]],
-        combine: F,
-    ) -> Result<Vec<f32>, FedError> {
-        let len = models[0].len();
-        for (i, m) in models.iter().enumerate() {
-            if m.len() != len {
-                return Err(FedError::Model(fedpower_nn::NnError::ShapeMismatch {
-                    expected: len,
-                    actual: m.len(),
-                    context: format!("parameter vector of update {i}"),
-                }));
-            }
-        }
-        let mut out = Vec::with_capacity(len);
-        let mut column = vec![0.0_f32; models.len()];
-        for i in 0..len {
-            for (c, m) in column.iter_mut().zip(models) {
-                *c = m[i];
-            }
-            // total_cmp never panics; admission normally keeps NaN out, but
-            // robust aggregation must not be the thing that crashes.
-            column.sort_by(|a, b| a.total_cmp(b));
-            out.push(combine(&column));
-        }
-        Ok(out)
+        Ok(&self.global)
     }
 }
 
@@ -909,28 +573,6 @@ impl OptBlobCursor<'_> {
             .map(|c| f32::from_le_bytes(c.try_into().expect("4")))
             .collect())
     }
-}
-
-/// The admission check shared by [`AggregationServer::validate_update`] and
-/// [`RoundAccumulator::admit`].
-fn validate_against(expected_len: usize, update: &ModelUpdate) -> Result<(), FedError> {
-    if update.params.len() != expected_len {
-        return Err(FedError::CorruptUpdate {
-            client_id: update.client_id,
-            reason: format!(
-                "shape mismatch: {} parameters, global has {}",
-                update.params.len(),
-                expected_len
-            ),
-        });
-    }
-    if let Some(i) = update.params.iter().position(|p| !p.is_finite()) {
-        return Err(FedError::CorruptUpdate {
-            client_id: update.client_id,
-            reason: format!("non-finite value {} at index {i}", update.params[i]),
-        });
-    }
-    Ok(())
 }
 
 /// How an accumulator folds its admitted updates.
@@ -1039,11 +681,26 @@ impl RoundAccumulator {
     ///
     /// # Errors
     ///
-    /// Returns [`FedError::CorruptUpdate`] — same check and message as
-    /// [`AggregationServer::validate_update`] — and leaves the accumulator
-    /// untouched.
+    /// Returns [`FedError::CorruptUpdate`] naming the client and the first
+    /// violation — a shape that differs from the model's, or a non-finite
+    /// parameter — and leaves the accumulator untouched.
     pub fn admit(&mut self, update: ModelUpdate, weight: f32) -> Result<(), FedError> {
-        validate_against(self.expected_len, &update)?;
+        if update.params.len() != self.expected_len {
+            return Err(FedError::CorruptUpdate {
+                client_id: update.client_id,
+                reason: format!(
+                    "shape mismatch: {} parameters, global has {}",
+                    update.params.len(),
+                    self.expected_len
+                ),
+            });
+        }
+        if let Some(i) = update.params.iter().position(|p| !p.is_finite()) {
+            return Err(FedError::CorruptUpdate {
+                client_id: update.client_id,
+                reason: format!("non-finite value {} at index {i}", update.params[i]),
+            });
+        }
         for ((s, q), &p) in self
             .div_sum
             .iter_mut()
@@ -1190,6 +847,110 @@ impl RoundAccumulator {
         }
         (total / m).sqrt() as f32
     }
+
+    /// Reduces the admitted updates to the round's aggregate model — the
+    /// combine stage behind [`AggregationServer::commit_round`].
+    fn combine(self) -> Result<Vec<f32>, FedError> {
+        if self.admitted == 0 {
+            return Err(FedError::EmptyRound);
+        }
+        match self.mode {
+            AccMode::Streaming {
+                weighted_sum,
+                total_weight,
+                samples_sum,
+                total_samples,
+            } => {
+                if !self.all_unit {
+                    let total = total_weight.to_f64();
+                    if !(total.is_finite() && total > 0.0) {
+                        return Err(FedError::InvalidConfig(format!(
+                            "weights must sum to a positive finite value, got {total}"
+                        )));
+                    }
+                    return Ok(weighted_sum
+                        .iter()
+                        .map(|s| (s.to_f64() / total) as f32)
+                        .collect());
+                }
+                Ok(match (self.strategy, total_samples) {
+                    (AggregationStrategy::SampleWeighted, 1..) => samples_sum
+                        .expect("SampleWeighted streams a sample-weighted sum")
+                        .iter()
+                        .map(|s| (s.to_f64() / total_samples as f64) as f32)
+                        .collect(),
+                    // Uniform, or SampleWeighted's zero-sample fallback.
+                    _ => {
+                        let n = self.admitted as f64;
+                        weighted_sum
+                            .iter()
+                            .map(|s| (s.to_f64() / n) as f32)
+                            .collect()
+                    }
+                })
+            }
+            AccMode::Buffered { updates, weights } => {
+                let models: Vec<&[f32]> = updates.iter().map(|u| u.params.as_slice()).collect();
+                if !self.all_unit {
+                    let total: f32 = weights.iter().sum();
+                    if !(total.is_finite() && total > 0.0) {
+                        return Err(FedError::InvalidConfig(format!(
+                            "weights must sum to a positive finite value, got {total}"
+                        )));
+                    }
+                    let normalized: Vec<f32> = weights.iter().map(|w| w / total).collect();
+                    return Ok(average_params(&models, &normalized)?);
+                }
+                match self.strategy {
+                    AggregationStrategy::TrimmedMean { trim_each_side } => {
+                        if 2 * trim_each_side >= models.len() {
+                            return Err(FedError::InvalidConfig(format!(
+                                "trimming {trim_each_side} per side discards all {} updates",
+                                models.len()
+                            )));
+                        }
+                        Ok(coordinate_wise(&models, |sorted| {
+                            let kept = &sorted[trim_each_side..sorted.len() - trim_each_side];
+                            kept.iter().sum::<f32>() / kept.len() as f32
+                        }))
+                    }
+                    AggregationStrategy::CoordinateMedian => Ok(coordinate_wise(&models, median)),
+                    AggregationStrategy::Uniform | AggregationStrategy::SampleWeighted => {
+                        unreachable!("the mean strategies stream")
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Applies `reduce` to each coordinate's values across `models`, sorted
+/// ascending. All models have the same length: only admitted updates are
+/// buffered, and admission checks the shape.
+fn coordinate_wise(models: &[&[f32]], reduce: impl Fn(&[f32]) -> f32) -> Vec<f32> {
+    let mut column = vec![0.0_f32; models.len()];
+    (0..models[0].len())
+        .map(|i| {
+            for (c, m) in column.iter_mut().zip(models) {
+                *c = m[i];
+            }
+            // total_cmp never panics; admission keeps NaN out, but robust
+            // aggregation must not be the thing that crashes.
+            column.sort_by(|a, b| a.total_cmp(b));
+            reduce(&column)
+        })
+        .collect()
+}
+
+/// The middle value of an ascending slice (the mean of the middle pair
+/// for an even count).
+fn median(sorted: &[f32]) -> f32 {
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    }
 }
 
 #[cfg(test)]
@@ -1204,52 +965,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn uniform_aggregation_is_plain_mean() {
-        let mut server = AggregationServer::new(vec![0.0; 2], AggregationStrategy::Uniform);
-        let global = server
-            .aggregate(&[
-                update(0, vec![1.0, 2.0], 100),
-                update(1, vec![3.0, 6.0], 900),
-            ])
-            .unwrap();
-        assert_eq!(global, &[2.0, 4.0], "sample counts ignored under Uniform");
-        assert_eq!(server.rounds_completed(), 1);
+    /// Admits each update at unit weight and commits the round.
+    fn round<'a>(
+        server: &'a mut AggregationServer,
+        updates: &[ModelUpdate],
+    ) -> Result<&'a [f32], FedError> {
+        let mut acc = server.accumulator();
+        for u in updates {
+            acc.admit(u.clone(), 1.0)?;
+        }
+        server.commit_round(acc)
     }
 
-    #[test]
-    fn sample_weighted_aggregation_respects_counts() {
-        let mut server = AggregationServer::new(vec![0.0; 2], AggregationStrategy::SampleWeighted);
-        let global = server
-            .aggregate(&[
-                update(0, vec![0.0, 0.0], 100),
-                update(1, vec![4.0, 8.0], 300),
-            ])
-            .unwrap();
-        assert_eq!(global, &[3.0, 6.0]);
-    }
-
-    #[test]
-    fn sample_weighted_with_zero_samples_falls_back_to_uniform() {
-        let mut server = AggregationServer::new(vec![0.0; 1], AggregationStrategy::SampleWeighted);
-        let global = server
-            .aggregate(&[update(0, vec![2.0], 0), update(1, vec![4.0], 0)])
-            .unwrap();
-        assert_eq!(global, &[3.0]);
-    }
-
-    #[test]
-    fn empty_round_errors() {
-        let mut server = AggregationServer::new(vec![0.0], AggregationStrategy::Uniform);
-        assert_eq!(server.aggregate(&[]), Err(FedError::EmptyRound));
+    fn fedavgm(initial: Vec<f32>, momentum: f32) -> AggregationServer {
+        AggregationServer::with_optimizer(
+            initial,
+            AggregationStrategy::Uniform,
+            momentum,
+            ServerOpt::FedAvg,
+        )
     }
 
     #[test]
     fn shape_mismatch_errors_and_preserves_global() {
         let mut server = AggregationServer::new(vec![0.0, 0.0], AggregationStrategy::Uniform);
         let before = server.global().to_vec();
-        let result = server.aggregate(&[update(0, vec![1.0, 2.0], 1), update(1, vec![1.0], 1)]);
-        assert!(matches!(result, Err(FedError::Model(_))));
+        let result = round(
+            &mut server,
+            &[update(0, vec![1.0, 2.0], 1), update(1, vec![1.0], 1)],
+        );
+        assert!(matches!(result, Err(FedError::CorruptUpdate { .. })));
         assert_eq!(server.global(), before, "failed round must not corrupt θ");
         assert_eq!(server.rounds_completed(), 0);
     }
@@ -1258,9 +1003,11 @@ mod tests {
     fn aggregating_identical_models_is_identity() {
         let p = vec![0.5_f32, -1.5, 2.0];
         let mut server = AggregationServer::new(vec![0.0; 3], AggregationStrategy::Uniform);
-        let global = server
-            .aggregate(&[update(0, p.clone(), 10), update(1, p.clone(), 10)])
-            .unwrap();
+        let global = round(
+            &mut server,
+            &[update(0, p.clone(), 10), update(1, p.clone(), 10)],
+        )
+        .unwrap();
         assert_eq!(global, p.as_slice());
     }
 
@@ -1274,9 +1021,7 @@ mod tests {
         let honest2 = update(1, vec![1.2, 0.8], 1);
         let honest3 = update(2, vec![0.8, 1.2], 1);
         let byzantine = update(3, vec![1e9, -1e9], 1);
-        let global = server
-            .aggregate(&[honest1, honest2, honest3, byzantine])
-            .unwrap();
+        let global = round(&mut server, &[honest1, honest2, honest3, byzantine]).unwrap();
         // Trimming one value per side removes the poisoned extreme; the
         // result stays within the honest envelope.
         for &v in global {
@@ -1287,27 +1032,31 @@ mod tests {
     #[test]
     fn coordinate_median_ignores_minority_poison() {
         let mut server = AggregationServer::new(vec![0.0], AggregationStrategy::CoordinateMedian);
-        let global = server
-            .aggregate(&[
+        let global = round(
+            &mut server,
+            &[
                 update(0, vec![1.0], 1),
                 update(1, vec![1.1], 1),
                 update(2, vec![-1e9], 1),
-            ])
-            .unwrap();
+            ],
+        )
+        .unwrap();
         assert_eq!(global, &[1.0]);
     }
 
     #[test]
     fn median_of_even_count_averages_middle_pair() {
         let mut server = AggregationServer::new(vec![0.0], AggregationStrategy::CoordinateMedian);
-        let global = server
-            .aggregate(&[
+        let global = round(
+            &mut server,
+            &[
                 update(0, vec![1.0], 1),
                 update(1, vec![3.0], 1),
                 update(2, vec![5.0], 1),
                 update(3, vec![100.0], 1),
-            ])
-            .unwrap();
+            ],
+        )
+        .unwrap();
         assert_eq!(global, &[4.0]);
     }
 
@@ -1317,7 +1066,10 @@ mod tests {
             vec![0.0],
             AggregationStrategy::TrimmedMean { trim_each_side: 1 },
         );
-        let result = server.aggregate(&[update(0, vec![1.0], 1), update(1, vec![2.0], 1)]);
+        let result = round(
+            &mut server,
+            &[update(0, vec![1.0], 1), update(1, vec![2.0], 1)],
+        );
         assert!(matches!(result, Err(FedError::InvalidConfig(_))));
     }
 
@@ -1325,11 +1077,10 @@ mod tests {
     fn momentum_free_first_step_matches_plain_fedavg() {
         let updates = [update(0, vec![2.0], 1), update(1, vec![4.0], 1)];
         let mut plain = AggregationServer::new(vec![0.0], AggregationStrategy::Uniform);
-        let mut momo =
-            AggregationServer::with_momentum(vec![0.0], AggregationStrategy::Uniform, 0.9);
+        let mut momo = fedavgm(vec![0.0], 0.9);
         assert_eq!(
-            plain.aggregate(&updates).unwrap(),
-            momo.aggregate(&updates).unwrap(),
+            round(&mut plain, &updates).unwrap(),
+            round(&mut momo, &updates).unwrap(),
             "velocity starts at zero, so round 1 is identical"
         );
     }
@@ -1338,10 +1089,9 @@ mod tests {
     fn momentum_accelerates_a_consistent_direction() {
         // Clients keep reporting the same target; with momentum the global
         // model overshoots plain averaging after a few rounds.
-        let mut momo =
-            AggregationServer::with_momentum(vec![0.0], AggregationStrategy::Uniform, 0.5);
+        let mut momo = fedavgm(vec![0.0], 0.5);
         for _ in 0..3 {
-            momo.aggregate(&[update(0, vec![1.0], 1)]).unwrap();
+            round(&mut momo, &[update(0, vec![1.0], 1)]).unwrap();
         }
         assert!(
             momo.global()[0] > 1.0,
@@ -1353,68 +1103,34 @@ mod tests {
     #[test]
     #[should_panic(expected = "momentum")]
     fn invalid_momentum_panics() {
-        let _ = AggregationServer::with_momentum(vec![0.0], AggregationStrategy::Uniform, 1.0);
-    }
-
-    #[test]
-    fn weighted_aggregation_discounts_low_weight_updates() {
-        let mut server = AggregationServer::new(vec![0.0], AggregationStrategy::Uniform);
-        let updates = [update(0, vec![0.0], 1), update(1, vec![4.0], 1)];
-        // Weights 3:1 → (3·0 + 1·4)/4 = 1.
-        let global = server.aggregate_weighted(&updates, &[3.0, 1.0]).unwrap();
-        assert_eq!(global, &[1.0]);
-        assert_eq!(server.rounds_completed(), 1);
+        let _ = fedavgm(vec![0.0], 1.0);
     }
 
     #[test]
     fn weighted_aggregation_rejects_bad_weights() {
-        let mut server = AggregationServer::new(vec![0.0], AggregationStrategy::Uniform);
-        let updates = [update(0, vec![1.0], 1)];
-        assert!(matches!(
-            server.aggregate_weighted(&updates, &[]),
-            Err(FedError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            server.aggregate_weighted(&updates, &[0.0]),
-            Err(FedError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            server.aggregate_weighted(&[], &[]),
-            Err(FedError::EmptyRound)
-        ));
-        assert_eq!(server.global(), &[0.0], "failed rounds leave θ intact");
-    }
-
-    #[test]
-    fn validate_update_flags_nan_and_shape() {
-        let server = AggregationServer::new(vec![0.0; 2], AggregationStrategy::Uniform);
-        assert!(server
-            .validate_update(&update(0, vec![1.0, 2.0], 1))
-            .is_ok());
-        let nan = server.validate_update(&update(3, vec![1.0, f32::NAN], 1));
-        assert!(
-            matches!(&nan, Err(FedError::CorruptUpdate { client_id: 3, reason }) if reason.contains("index 1")),
-            "{nan:?}"
-        );
-        let inf = server.validate_update(&update(1, vec![f32::INFINITY, 0.0], 1));
-        assert!(matches!(inf, Err(FedError::CorruptUpdate { .. })));
-        let shape = server.validate_update(&update(2, vec![1.0], 1));
-        assert!(
-            matches!(&shape, Err(FedError::CorruptUpdate { client_id: 2, reason }) if reason.contains("shape")),
-            "{shape:?}"
-        );
+        // Weights summing to zero have no normalized mean, streamed or
+        // buffered.
+        for strategy in [
+            AggregationStrategy::Uniform,
+            AggregationStrategy::TrimmedMean { trim_each_side: 0 },
+        ] {
+            let mut server = AggregationServer::new(vec![0.0], strategy);
+            let mut acc = server.accumulator();
+            acc.admit(update(0, vec![1.0], 1), 0.0).unwrap();
+            assert!(matches!(
+                server.commit_round(acc),
+                Err(FedError::InvalidConfig(_))
+            ));
+            assert_eq!(server.global(), &[0.0], "failed rounds leave θ intact");
+            assert_eq!(server.rounds_completed(), 0);
+        }
     }
 
     #[test]
     fn robust_strategies_survive_nan_without_panicking() {
-        // Admission normally filters NaN, but the sort itself must not panic.
-        let mut server = AggregationServer::new(vec![0.0], AggregationStrategy::CoordinateMedian);
-        let result = server.aggregate(&[
-            update(0, vec![1.0], 1),
-            update(1, vec![f32::NAN], 1),
-            update(2, vec![2.0], 1),
-        ]);
-        assert!(result.is_ok());
+        // Admission filters NaN, but the sort itself must not panic.
+        let models: [&[f32]; 3] = [&[1.0], &[f32::NAN], &[2.0]];
+        assert_eq!(coordinate_wise(&models, median), vec![2.0]);
     }
 
     #[test]
@@ -1426,8 +1142,8 @@ mod tests {
         );
         let mut uniform = AggregationServer::new(vec![0.0; 2], AggregationStrategy::Uniform);
         assert_eq!(
-            trimmed.aggregate(&updates).unwrap(),
-            uniform.aggregate(&updates).unwrap()
+            round(&mut trimmed, &updates).unwrap(),
+            round(&mut uniform, &updates).unwrap()
         );
     }
 
@@ -1451,7 +1167,7 @@ mod tests {
         acc.admit(update(1, vec![4.0, 8.0], 300), 1.0).unwrap();
         assert_eq!(server.commit_round(acc).unwrap(), &[3.0, 6.0]);
 
-        // Zero samples everywhere → uniform fallback, like `aggregate`.
+        // Zero samples everywhere → uniform fallback.
         let mut acc = server.accumulator();
         acc.admit(update(0, vec![2.0, 2.0], 0), 1.0).unwrap();
         acc.admit(update(1, vec![4.0, 4.0], 0), 1.0).unwrap();
@@ -1462,7 +1178,7 @@ mod tests {
     fn stale_weights_switch_the_accumulator_to_the_weighted_mean() {
         let mut server = AggregationServer::new(vec![0.0], AggregationStrategy::Uniform);
         let mut acc = server.accumulator();
-        // Weights 3:1 → (3·0 + 1·4)/4 = 1, the aggregate_weighted case.
+        // Weights 3:1 → (3·0 + 1·4)/4 = 1.
         acc.admit(update(0, vec![0.0], 1), 3.0).unwrap();
         acc.admit(update(1, vec![4.0], 1), 1.0).unwrap();
         let global = server.commit_round(acc).unwrap();
@@ -1470,42 +1186,44 @@ mod tests {
     }
 
     #[test]
-    fn buffered_robust_strategies_go_through_the_legacy_path() {
-        let mut streamed = AggregationServer::new(
-            vec![0.0; 2],
+    fn stale_weights_bypass_the_robust_rule() {
+        // One discounted update turns a trimmed-mean round into the
+        // normalized weighted mean of every buffered model: the outlier 10
+        // is not trimmed, so θ = (0 + 1 + 2 + 0.5·10) / 3.5 = 8/3.5.
+        let mut server = AggregationServer::new(
+            vec![0.0],
             AggregationStrategy::TrimmedMean { trim_each_side: 1 },
         );
-        let mut direct = streamed.clone();
-        let updates = [
-            update(0, vec![1.0, 1.0], 1),
-            update(1, vec![1.2, 0.8], 1),
-            update(2, vec![0.8, 1.2], 1),
-            update(3, vec![1e9, -1e9], 1),
-        ];
-        let mut acc = streamed.accumulator();
-        for u in &updates {
-            acc.admit(u.clone(), 1.0).unwrap();
+        let mut acc = server.accumulator();
+        for (id, (p, w)) in [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (10.0, 0.5)]
+            .into_iter()
+            .enumerate()
+        {
+            acc.admit(update(id, vec![p], 1), w).unwrap();
         }
-        let via_acc = streamed.commit_round(acc).unwrap().to_vec();
-        let via_direct = direct.aggregate(&updates).unwrap().to_vec();
-        assert_eq!(via_acc, via_direct, "bit-identical to aggregate()");
+        assert_eq!(server.commit_round(acc).unwrap()[0].to_bits(), 0x4012_4925);
     }
 
     #[test]
-    fn accumulator_admission_rejects_like_validate_update() {
+    fn admission_flags_nan_inf_and_shape() {
         let server = AggregationServer::new(vec![0.0; 2], AggregationStrategy::Uniform);
         let mut acc = server.accumulator();
         let nan = acc.admit(update(3, vec![1.0, f32::NAN], 1), 1.0);
-        assert_eq!(
-            nan.unwrap_err().to_string(),
-            server
-                .validate_update(&update(3, vec![1.0, f32::NAN], 1))
-                .unwrap_err()
-                .to_string(),
-            "same rejection message as validate_update"
+        assert!(
+            matches!(&nan, Err(FedError::CorruptUpdate { client_id: 3, reason }) if reason.contains("index 1")),
+            "{nan:?}"
         );
-        assert!(acc.admit(update(2, vec![1.0], 1), 1.0).is_err());
+        let inf = acc.admit(update(1, vec![f32::INFINITY, 0.0], 1), 1.0);
+        assert!(matches!(inf, Err(FedError::CorruptUpdate { .. })));
+        let shape = acc.admit(update(2, vec![1.0], 1), 1.0);
+        assert!(
+            matches!(&shape, Err(FedError::CorruptUpdate { client_id: 2, reason }) if reason.contains("shape")),
+            "{shape:?}"
+        );
         assert_eq!(acc.admitted(), 0, "rejected updates leave no trace");
+        assert_eq!(acc, server.accumulator());
+        acc.admit(update(0, vec![1.0, 2.0], 1), 1.0).unwrap();
+        assert_eq!(acc.admitted(), 1);
     }
 
     #[test]
@@ -1727,8 +1445,8 @@ mod tests {
                 update(0, vec![0.3 + 0.01 * r as f32, -0.2, 0.7], 1),
                 update(1, vec![-0.1, 0.4, 0.05 * r as f32], 1),
             ];
-            let a = adam.aggregate(&updates).unwrap().to_vec();
-            let b = avg.aggregate(&updates).unwrap().to_vec();
+            let a = round(&mut adam, &updates).unwrap().to_vec();
+            let b = round(&mut avg, &updates).unwrap().to_vec();
             let a_bits: Vec<u32> = a.iter().map(|p| p.to_bits()).collect();
             let b_bits: Vec<u32> = b.iter().map(|p| p.to_bits()).collect();
             assert_eq!(a_bits, b_bits, "round {r} diverged");
@@ -1746,7 +1464,7 @@ mod tests {
             0.0,
             ServerOpt::fedadam(),
         );
-        adam.aggregate(&[update(0, vec![1.0], 1)]).unwrap();
+        round(&mut adam, &[update(0, vec![1.0], 1)]).unwrap();
         let theta = adam.global()[0];
         assert!(
             theta > 0.0 && theta < 0.5,
@@ -1765,8 +1483,8 @@ mod tests {
         );
         let mut avg = AggregationServer::new(vec![0.0], AggregationStrategy::Uniform);
         assert_eq!(
-            prox.aggregate(&updates).unwrap(),
-            avg.aggregate(&updates).unwrap()
+            round(&mut prox, &updates).unwrap(),
+            round(&mut avg, &updates).unwrap()
         );
         assert_eq!(prox.optimizer_kind(), ServerOptKind::FedProx);
         assert_eq!(ServerOpt::fedprox().prox_mu(), 0.01);
@@ -1785,8 +1503,7 @@ mod tests {
             ServerOpt::fedadam(),
         );
         for r in 0..2 {
-            live.aggregate(&[update(0, vec![1.0 + r as f32, -2.0], 1)])
-                .unwrap();
+            round(&mut live, &[update(0, vec![1.0 + r as f32, -2.0], 1)]).unwrap();
         }
         let blob = live.snapshot_opt_state();
         let mut restored = AggregationServer::with_optimizer(
@@ -1798,14 +1515,12 @@ mod tests {
         restored.restore_opt_state(&blob).unwrap();
         assert_eq!(restored.rounds_completed(), 2);
         let next = [update(0, vec![0.25, 0.75], 1)];
-        let a: Vec<u32> = live
-            .aggregate(&next)
+        let a: Vec<u32> = round(&mut live, &next)
             .unwrap()
             .iter()
             .map(|p| p.to_bits())
             .collect();
-        let b: Vec<u32> = restored
-            .aggregate(&next)
+        let b: Vec<u32> = round(&mut restored, &next)
             .unwrap()
             .iter()
             .map(|p| p.to_bits())
@@ -1815,19 +1530,51 @@ mod tests {
 
     #[test]
     fn momentum_velocity_survives_the_blob() {
-        let mut live =
-            AggregationServer::with_momentum(vec![0.0], AggregationStrategy::Uniform, 0.5);
-        live.aggregate(&[update(0, vec![1.0], 1)]).unwrap();
+        let mut live = fedavgm(vec![0.0], 0.5);
+        round(&mut live, &[update(0, vec![1.0], 1)]).unwrap();
         let blob = live.snapshot_opt_state();
-        let mut restored = AggregationServer::with_momentum(
-            live.global().to_vec(),
+        let mut restored = fedavgm(live.global().to_vec(), 0.5);
+        restored.restore_opt_state(&blob).unwrap();
+        let a = round(&mut live, &[update(0, vec![1.0], 1)]).unwrap()[0].to_bits();
+        let b = round(&mut restored, &[update(0, vec![1.0], 1)]).unwrap()[0].to_bits();
+        assert_eq!(a, b, "FedAvgM velocity must carry across restore");
+    }
+
+    #[test]
+    fn optimizer_blob_layout_is_pinned() {
+        // Kind code, rounds (u64 LE), then the FedAvg(M)/FedProx velocity
+        // or FedAdam's t (u64 LE), m and v, each vector a u32 LE length
+        // plus f32 LE values. Checkpoints already on disk must keep
+        // restoring, so this layout must not change.
+        let mut prox = AggregationServer::with_optimizer(
+            vec![0.0],
             AggregationStrategy::Uniform,
             0.5,
+            ServerOpt::fedprox(),
         );
-        restored.restore_opt_state(&blob).unwrap();
-        let a = live.aggregate(&[update(0, vec![1.0], 1)]).unwrap()[0].to_bits();
-        let b = restored.aggregate(&[update(0, vec![1.0], 1)]).unwrap()[0].to_bits();
-        assert_eq!(a, b, "FedAvgM velocity must carry across restore");
+        let mut adam = AggregationServer::with_optimizer(
+            vec![0.0],
+            AggregationStrategy::Uniform,
+            0.0,
+            ServerOpt::fedadam(),
+        );
+        for server in [&mut prox, &mut adam] {
+            round(server, &[update(0, vec![1.0], 1)]).unwrap();
+        }
+        // g = θ − next = −1: velocity 0.5·0 + g, Adam m = 0.1·g, v = 0.01·g².
+        let mut expected = vec![2];
+        expected.extend_from_slice(&1u64.to_le_bytes());
+        expected.extend_from_slice(&1u32.to_le_bytes());
+        expected.extend_from_slice(&(-1.0_f32).to_le_bytes());
+        assert_eq!(prox.snapshot_opt_state(), expected);
+        let mut expected = vec![1];
+        expected.extend_from_slice(&1u64.to_le_bytes());
+        expected.extend_from_slice(&1u64.to_le_bytes());
+        expected.extend_from_slice(&1u32.to_le_bytes());
+        expected.extend_from_slice(&(-(1.0_f32 - 0.9)).to_le_bytes());
+        expected.extend_from_slice(&1u32.to_le_bytes());
+        expected.extend_from_slice(&(1.0_f32 - 0.99).to_le_bytes());
+        assert_eq!(adam.snapshot_opt_state(), expected);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property-based tests of the aggregation rules' formal guarantees.
 
-use fedpower_federated::{AggregationServer, AggregationStrategy, ModelUpdate, RoundAccumulator};
+use fedpower_federated::{
+    AggregationServer, AggregationStrategy, FedError, ModelUpdate, RoundAccumulator,
+};
 use proptest::prelude::*;
 
 fn update(id: usize, params: Vec<f32>, samples: u64) -> ModelUpdate {
@@ -9,6 +11,18 @@ fn update(id: usize, params: Vec<f32>, samples: u64) -> ModelUpdate {
         params,
         num_samples: samples,
     }
+}
+
+/// Admits each update at unit weight and commits the round.
+fn round<'a>(
+    server: &'a mut AggregationServer,
+    updates: &[ModelUpdate],
+) -> Result<&'a [f32], FedError> {
+    let mut acc = server.accumulator();
+    for u in updates {
+        acc.admit(u.clone(), 1.0)?;
+    }
+    server.commit_round(acc)
 }
 
 fn models(n_models: usize, len: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
@@ -40,7 +54,7 @@ proptest! {
         ];
         for strategy in strategies {
             let mut server = AggregationServer::new(vec![0.0; len], strategy);
-            let global = server.aggregate(&updates).expect("valid round").to_vec();
+            let global = round(&mut server, &updates).expect("valid round").to_vec();
             for i in 0..len {
                 let lo = params.iter().map(|p| p[i]).fold(f32::INFINITY, f32::min);
                 let hi = params.iter().map(|p| p[i]).fold(f32::NEG_INFINITY, f32::max);
@@ -67,7 +81,7 @@ proptest! {
             AggregationStrategy::CoordinateMedian,
         ] {
             let mut server = AggregationServer::new(vec![0.0; p.len()], strategy);
-            let global = server.aggregate(&updates).expect("valid round");
+            let global = round(&mut server, &updates).expect("valid round");
             for (g, e) in global.iter().zip(&p) {
                 prop_assert!((g - e).abs() < 1e-6);
             }
@@ -182,7 +196,7 @@ proptest! {
         updates.push(update(3, vec![poison], 1));
         updates.push(update(4, vec![-poison], 1));
         let mut server = AggregationServer::new(vec![0.0], AggregationStrategy::CoordinateMedian);
-        let global = server.aggregate(&updates).expect("valid round");
+        let global = round(&mut server, &updates).expect("valid round");
         prop_assert!(
             (0.9..=1.1).contains(&global[0]),
             "median {} escaped honest range",

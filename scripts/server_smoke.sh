@@ -16,7 +16,7 @@
 set -euo pipefail
 
 BIN="${1:-target/release}"
-ROUNDS=6
+ROUNDS=30
 STEPS=800
 CODEC=q8
 CLIENTS=2
@@ -67,18 +67,24 @@ start_clients "$PORT" int
     > "$WORK/server_killed.log" &
 SRV=$!
 # Kill as soon as the first checkpoint lands — deep inside the
-# experiment, with later rounds still in flight.
-for _ in $(seq 1 600); do
+# experiment, with later rounds still in flight. Poll often (60 s cap):
+# on a fast host a round takes only a few milliseconds.
+for _ in $(seq 1 6000); do
     [ -s "$WORK/int.fpck" ] && break
-    sleep 0.1
+    sleep 0.01
 done
 [ -s "$WORK/int.fpck" ] || { echo "FAIL: no checkpoint appeared to kill at"; exit 1; }
-kill -9 "$SRV"
+kill -9 "$SRV" 2>/dev/null \
+    || { echo "FAIL: server finished all $ROUNDS rounds before the kill landed"; exit 1; }
 wait "$SRV" 2>/dev/null || true
 echo "server killed after first checkpoint"
 
 echo "== replay check (killed server's log vs its checkpoint) =="
-"$BIN/telemetry_replay" "$WORK/int_killed.jsonl" "$WORK/int.fpck"
+"$BIN/telemetry_replay" "$WORK/int_killed.jsonl" "$WORK/int.fpck" | tee "$WORK/replay_killed.log"
+KILLED_AT=$(sed -n 's/.*checkpoint at round \([0-9]*\).*/\1/p' "$WORK/replay_killed.log")
+[ -n "$KILLED_AT" ] && [ "$KILLED_AT" -lt "$ROUNDS" ] \
+    || { echo "FAIL: killed checkpoint is at round '$KILLED_AT', not before round $ROUNDS"; exit 1; }
+echo "killed checkpoint is at round $KILLED_AT of $ROUNDS"
 
 echo "== resumed server =="
 "$BIN/fedpower-server" serve --clients $CLIENTS --rounds $ROUNDS --steps $STEPS \

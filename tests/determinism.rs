@@ -74,9 +74,8 @@ fn agent_clients() -> Vec<AgentClient> {
 }
 
 /// Selecting `--optimizer fedavg` explicitly is bit-identical to the
-/// default configuration, under the seeded chaos plan: the ServerOptimizer
-/// refactor routes the default commit through exactly the legacy
-/// arithmetic.
+/// default configuration, under the seeded chaos plan: the default commit
+/// runs exactly the legacy arithmetic.
 #[test]
 fn explicit_fedavg_optimizer_matches_the_default_under_chaos() {
     use fedpower::federated::ServerOpt;

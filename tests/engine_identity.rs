@@ -19,7 +19,10 @@ mod common;
 
 use common::{MathClient, MathFleetFactory};
 use fedpower::federated::report::RoundReport;
-use fedpower::federated::{FaultConfig, FaultPlan, FedAvgConfig, Federation, Fleet, FleetConfig};
+use fedpower::federated::{
+    AggregationStrategy, FaultConfig, FaultPlan, FedAvgConfig, Federation, Fleet, FleetConfig,
+    ServerOpt,
+};
 use fedpower::telemetry::MemoryRecorder;
 use fedpower::wire::crc32;
 
@@ -108,6 +111,66 @@ fn flat_dense_chaos_stream_matches_pre_engine_golden() {
         ..FedAvgConfig::paper()
     };
     assert_eq!(flat_fingerprint(cfg, 8, 11), GOLDEN_FLAT_DENSE);
+}
+
+/// The dense golden's configuration, which the commit-stage cases below
+/// each override in one field. Every such run aggregates all 12 rounds and
+/// admits 9 stale (discounted) updates, so the robust strategies also
+/// cover their weighted-mean bypass. Their goldens were captured before
+/// the commit stage became one private enum.
+fn commit_stage_base() -> FedAvgConfig {
+    FedAvgConfig {
+        rounds: 12,
+        steps_per_round: 3,
+        min_quorum: 2,
+        ..FedAvgConfig::paper()
+    }
+}
+
+#[test]
+fn fedadam_commit_stream_matches_golden() {
+    let cfg = FedAvgConfig {
+        optimizer: ServerOpt::fedadam(),
+        ..commit_stage_base()
+    };
+    assert_eq!(flat_fingerprint(cfg, 8, 11), 0x24b9_d1b8);
+}
+
+#[test]
+fn fedavgm_commit_stream_matches_golden() {
+    let cfg = FedAvgConfig {
+        server_momentum: 0.7,
+        ..commit_stage_base()
+    };
+    assert_eq!(flat_fingerprint(cfg, 8, 11), 0xe238_1f19);
+}
+
+#[test]
+fn fedprox_momentum_commit_stream_matches_golden() {
+    let cfg = FedAvgConfig {
+        optimizer: ServerOpt::fedprox(),
+        server_momentum: 0.5,
+        ..commit_stage_base()
+    };
+    assert_eq!(flat_fingerprint(cfg, 8, 11), 0x8d03_4b60);
+}
+
+#[test]
+fn trimmed_mean_combine_stream_matches_golden() {
+    let cfg = FedAvgConfig {
+        strategy: AggregationStrategy::TrimmedMean { trim_each_side: 1 },
+        ..commit_stage_base()
+    };
+    assert_eq!(flat_fingerprint(cfg, 8, 11), 0xb67f_e076);
+}
+
+#[test]
+fn coordinate_median_combine_stream_matches_golden() {
+    let cfg = FedAvgConfig {
+        strategy: AggregationStrategy::CoordinateMedian,
+        ..commit_stage_base()
+    };
+    assert_eq!(flat_fingerprint(cfg, 8, 11), 0xebaa_906b);
 }
 
 #[test]

@@ -134,7 +134,7 @@ fn nan_corrupt_updates_are_rejected_and_excluded() {
         params: vec![1.0, f32::NAN, 3.0, 4.0],
         num_samples: 10,
     };
-    match server.validate_update(&corrupt) {
+    match server.accumulator().admit(corrupt, 1.0) {
         Err(FedError::CorruptUpdate { client_id, reason }) => {
             assert_eq!(client_id, 2);
             assert!(reason.contains("index 1"), "{reason}");
