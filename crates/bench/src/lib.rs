@@ -20,9 +20,10 @@
 //! run a federation additionally honor `--telemetry off|summary|jsonl:<path>`
 //! to stream the federation's structured event log.
 //!
-//! Criterion micro-benchmarks (`cargo bench -p fedpower-bench`) measure the
-//! per-step controller latency and FedAvg aggregation cost backing the
-//! §IV-C overhead discussion.
+//! Two std-only benches (`cargo bench -p fedpower-bench --bench hotpath`
+//! and `--bench fleet`) time the training, inference, commit and codec
+//! hot paths and a sharded fleet round, and write `BENCH_hotpath.json` /
+//! `BENCH_fleet.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

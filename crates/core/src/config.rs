@@ -3,7 +3,7 @@
 
 use fedpower_agent::{ControllerConfig, RewardConfig};
 use fedpower_baselines::ProfitConfig;
-use fedpower_federated::{Codec, FaultScenario, FedAvgConfig, ServerOpt, TransportKind};
+use fedpower_federated::{Codec, FaultScenario, FedAvgConfig, FedError, ServerOpt, TransportKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -136,16 +136,16 @@ impl Default for ExperimentConfig {
 }
 
 /// Why [`ExperimentConfigBuilder::build`] rejected a configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// `fedavg.rounds` must be at least 1.
     ZeroRounds,
     /// `fedavg.steps_per_round` must be at least 1.
     ZeroStepsPerRound,
-    /// `fedavg.participation` must lie in `(0, 1]`.
-    InvalidParticipation(f64),
-    /// `fedavg.staleness_decay` must lie in `(0, 1]`.
-    InvalidStalenessDecay(f32),
+    /// `fedavg` fails [`FedAvgConfig::validate`] (participation,
+    /// staleness decay, codec, wire version, server momentum or
+    /// optimizer).
+    Federation(FedError),
     /// `control_interval_s` must be positive and finite.
     InvalidControlInterval(f64),
     /// `eval_steps` must be at least 1.
@@ -159,19 +159,6 @@ pub enum ConfigError {
     },
     /// A [`FleetSpec`] must have at least one client and one shard.
     DegenerateFleet(FleetSpec),
-    /// FedAdam's server learning rate must be positive and finite.
-    InvalidServerLr(f32),
-    /// FedAdam's moment coefficients β₁/β₂ must lie in `[0, 1)`.
-    InvalidServerBeta(f32),
-    /// FedAdam's ε must be positive and finite.
-    InvalidServerEpsilon(f32),
-    /// FedProx's proximal coefficient μ must be finite and ≥ 0.
-    InvalidProxMu(f32),
-    /// `fedavg.server_momentum` is a FedAvg(M) setting; FedAdam maintains
-    /// its own moments, so the two cannot be combined.
-    MomentumUnderFedAdam(f32),
-    /// A [`Codec::TopK`] fraction must lie in `(0, 1]`.
-    InvalidTopKFraction(f32),
 }
 
 impl fmt::Display for ConfigError {
@@ -179,12 +166,7 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroRounds => write!(f, "rounds must be at least 1"),
             ConfigError::ZeroStepsPerRound => write!(f, "steps per round must be at least 1"),
-            ConfigError::InvalidParticipation(p) => {
-                write!(f, "participation {p} outside (0, 1]")
-            }
-            ConfigError::InvalidStalenessDecay(d) => {
-                write!(f, "staleness decay {d} outside (0, 1]")
-            }
+            ConfigError::Federation(e) => write!(f, "{e}"),
             ConfigError::InvalidControlInterval(s) => {
                 write!(f, "control interval {s} s must be positive and finite")
             }
@@ -200,26 +182,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "fleet topology needs at least one client and one shard, got {} clients / {} shards",
                 spec.clients, spec.shards
-            ),
-            ConfigError::InvalidServerLr(lr) => {
-                write!(f, "server learning rate {lr} must be positive and finite")
-            }
-            ConfigError::InvalidServerBeta(b) => {
-                write!(f, "Adam moment coefficient beta {b} outside [0, 1)")
-            }
-            ConfigError::InvalidServerEpsilon(eps) => {
-                write!(f, "Adam epsilon {eps} must be positive and finite")
-            }
-            ConfigError::InvalidProxMu(mu) => write!(
-                f,
-                "proximal coefficient {mu} must be finite and >= 0 (0 disables the proximal pull)"
-            ),
-            ConfigError::InvalidTopKFraction(frac) => {
-                write!(f, "topk fraction must be in (0, 1], got {frac}")
-            }
-            ConfigError::MomentumUnderFedAdam(m) => write!(
-                f,
-                "server momentum {m} must be 0 under FedAdam (FedAdam maintains its own moments)"
             ),
         }
     }
@@ -340,14 +302,7 @@ impl ExperimentConfigBuilder {
         if cfg.fedavg.steps_per_round == 0 {
             return Err(ConfigError::ZeroStepsPerRound);
         }
-        let p = cfg.fedavg.participation;
-        if !(p > 0.0 && p <= 1.0) {
-            return Err(ConfigError::InvalidParticipation(p));
-        }
-        let d = cfg.fedavg.staleness_decay;
-        if !(d > 0.0 && d <= 1.0) {
-            return Err(ConfigError::InvalidStalenessDecay(d));
-        }
+        cfg.fedavg.validate().map_err(ConfigError::Federation)?;
         let dt = cfg.control_interval_s;
         if !(dt > 0.0 && dt.is_finite()) {
             return Err(ConfigError::InvalidControlInterval(dt));
@@ -366,42 +321,6 @@ impl ExperimentConfigBuilder {
                 return Err(ConfigError::DegenerateFleet(spec));
             }
         }
-        if let Codec::TopK { frac } = cfg.fedavg.codec {
-            if !(frac.is_finite() && frac > 0.0 && frac <= 1.0) {
-                return Err(ConfigError::InvalidTopKFraction(frac));
-            }
-        }
-        match cfg.fedavg.optimizer {
-            ServerOpt::FedAvg => {}
-            ServerOpt::FedAdam {
-                lr,
-                beta1,
-                beta2,
-                eps,
-            } => {
-                if !(lr > 0.0 && lr.is_finite()) {
-                    return Err(ConfigError::InvalidServerLr(lr));
-                }
-                for b in [beta1, beta2] {
-                    if !(0.0..1.0).contains(&b) {
-                        return Err(ConfigError::InvalidServerBeta(b));
-                    }
-                }
-                if !(eps > 0.0 && eps.is_finite()) {
-                    return Err(ConfigError::InvalidServerEpsilon(eps));
-                }
-                if cfg.fedavg.server_momentum != 0.0 {
-                    return Err(ConfigError::MomentumUnderFedAdam(
-                        cfg.fedavg.server_momentum,
-                    ));
-                }
-            }
-            ServerOpt::FedProx { mu } => {
-                if !(mu >= 0.0 && mu.is_finite()) {
-                    return Err(ConfigError::InvalidProxMu(mu));
-                }
-            }
-        }
         Ok(cfg)
     }
 }
@@ -409,6 +328,14 @@ impl ExperimentConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The message of the federation rule `built` broke.
+    fn federation_error(built: Result<ExperimentConfig, ConfigError>) -> String {
+        match built {
+            Err(ConfigError::Federation(e @ FedError::InvalidConfig(_))) => e.to_string(),
+            other => panic!("expected a federation rule error, got {other:?}"),
+        }
+    }
 
     #[test]
     fn defaults_match_table1() {
@@ -491,14 +418,10 @@ mod tests {
             ExperimentConfig::builder().steps_per_round(0).build(),
             Err(ConfigError::ZeroStepsPerRound)
         );
-        assert_eq!(
-            ExperimentConfig::builder().participation(0.0).build(),
-            Err(ConfigError::InvalidParticipation(0.0))
-        );
-        assert_eq!(
-            ExperimentConfig::builder().participation(1.5).build(),
-            Err(ConfigError::InvalidParticipation(1.5))
-        );
+        for p in [0.0, 1.5] {
+            let msg = federation_error(ExperimentConfig::builder().participation(p).build());
+            assert!(msg.contains("participation"), "{msg}");
+        }
         assert_eq!(
             ExperimentConfig::builder().eval_steps(0).build(),
             Err(ConfigError::ZeroEvalSteps)
@@ -576,47 +499,43 @@ mod tests {
                 })
                 .build()
         };
-        assert_eq!(
-            adam(0.0, 0.9, 0.99, 1e-3),
-            Err(ConfigError::InvalidServerLr(0.0))
-        );
-        assert_eq!(
-            adam(0.01, 1.0, 0.99, 1e-3),
-            Err(ConfigError::InvalidServerBeta(1.0))
-        );
-        assert_eq!(
-            adam(0.01, 0.9, -0.1, 1e-3),
-            Err(ConfigError::InvalidServerBeta(-0.1))
-        );
-        assert_eq!(
-            adam(0.01, 0.9, 0.99, 0.0),
-            Err(ConfigError::InvalidServerEpsilon(0.0))
-        );
-        assert_eq!(
+        let msg = federation_error(adam(0.0, 0.9, 0.99, 1e-3));
+        assert!(msg.contains("learning rate"), "{msg}");
+        let msg = federation_error(adam(0.01, 1.0, 0.99, 1e-3));
+        assert!(msg.contains("beta"), "{msg}");
+        let msg = federation_error(adam(0.01, 0.9, -0.1, 1e-3));
+        assert!(msg.contains("beta"), "{msg}");
+        let msg = federation_error(adam(0.01, 0.9, 0.99, 0.0));
+        assert!(msg.contains("epsilon"), "{msg}");
+        let msg = federation_error(
             ExperimentConfig::builder()
                 .optimizer(ServerOpt::FedProx { mu: -0.5 })
                 .build(),
-            Err(ConfigError::InvalidProxMu(-0.5))
         );
+        assert!(msg.contains("mu"), "{msg}");
         let mut with_momentum = ExperimentConfig::paper();
         with_momentum.fedavg.server_momentum = 0.5;
-        assert_eq!(
+        let msg = federation_error(
             with_momentum
                 .to_builder()
                 .optimizer(ServerOpt::fedadam())
                 .build(),
-            Err(ConfigError::MomentumUnderFedAdam(0.5))
         );
+        assert!(msg.contains("under FedAdam"), "{msg}");
         let ok = ExperimentConfig::builder()
             .optimizer(ServerOpt::fedadam())
             .build()
             .unwrap();
         assert_eq!(ok.fedavg.optimizer, ServerOpt::fedadam());
-        let msg = ConfigError::InvalidServerBeta(1.5).to_string();
+        let msg = federation_error(adam(0.01, 1.5, 0.99, 1e-3));
         assert!(msg.contains("[0, 1)"), "{msg}");
-        let msg = ConfigError::InvalidServerLr(f32::NAN).to_string();
+        let msg = federation_error(adam(f32::NAN, 0.9, 0.99, 1e-3));
         assert!(msg.contains("positive and finite"), "{msg}");
-        let msg = ConfigError::InvalidProxMu(-1.0).to_string();
+        let msg = federation_error(
+            ExperimentConfig::builder()
+                .optimizer(ServerOpt::FedProx { mu: -1.0 })
+                .build(),
+        );
         assert!(msg.contains(">= 0"), "{msg}");
     }
 
@@ -640,10 +559,11 @@ mod tests {
             .expect("valid codec");
         assert_eq!(cfg.fedavg.codec, Codec::Q8);
         assert_eq!(ExperimentConfig::paper().fedavg.codec, Codec::Dense32);
-        let err = ExperimentConfig::builder()
-            .codec(Codec::TopK { frac: 0.0 })
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::InvalidTopKFraction(0.0));
+        let msg = federation_error(
+            ExperimentConfig::builder()
+                .codec(Codec::TopK { frac: 0.0 })
+                .build(),
+        );
+        assert!(msg.contains("topk fraction"), "{msg}");
     }
 }

@@ -80,6 +80,37 @@ impl EnginePolicy {
             deadline_ticks: None,
         }
     }
+
+    /// Checks every engine-side rule: staleness decay in (0, 1], a top-k
+    /// fraction in (0, 1], `max_wire_version` at least
+    /// [`wire::VERSION`], and the commit stage (the [`ServerOpt`] ranges,
+    /// server momentum in [0, 1), no momentum under FedAdam).
+    ///
+    /// # Errors
+    ///
+    /// [`FedError::InvalidConfig`] naming the first rule broken.
+    pub fn validate(&self) -> Result<(), FedError> {
+        let invalid = |msg: String| Err(FedError::InvalidConfig(msg));
+        let decay = self.staleness_decay;
+        if !(decay > 0.0 && decay <= 1.0) {
+            return invalid(format!("staleness_decay must be in (0, 1], got {decay}"));
+        }
+        if let wire::Codec::TopK { frac } = self.codec {
+            if !(frac > 0.0 && frac <= 1.0) {
+                return invalid(format!("topk fraction must be in (0, 1], got {frac}"));
+            }
+        }
+        if self.max_wire_version < wire::VERSION {
+            return invalid(format!(
+                "max_wire_version must be at least {}, got {}",
+                wire::VERSION,
+                self.max_wire_version
+            ));
+        }
+        self.optimizer
+            .validate_with_momentum(self.server_momentum)
+            .map_err(FedError::InvalidConfig)
+    }
 }
 
 /// One observed occurrence, fed into [`RoundEngine::handle`]. Frames
@@ -222,13 +253,24 @@ pub struct RoundEngine {
 
 impl RoundEngine {
     /// Creates an engine over `client_ids.len()` slots with initial
-    /// global model θ₁.
+    /// global model θ₁. Every driver builds its engine here, so this is
+    /// where a federation configuration is checked.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `initial` is empty or the policy's optimizer
-    /// hyperparameters are invalid (the [`AggregationServer`] checks).
-    pub fn new(initial: Vec<f32>, policy: EnginePolicy, client_ids: Vec<usize>) -> Self {
+    /// [`FedError::InvalidConfig`] when `initial` is empty or the policy
+    /// fails [`EnginePolicy::validate`].
+    pub fn new(
+        initial: Vec<f32>,
+        policy: EnginePolicy,
+        client_ids: Vec<usize>,
+    ) -> Result<Self, FedError> {
+        if initial.is_empty() {
+            return Err(FedError::InvalidConfig(
+                "the initial global model θ₁ cannot be empty".to_string(),
+            ));
+        }
+        policy.validate()?;
         let server = AggregationServer::with_optimizer(
             initial,
             policy.strategy,
@@ -251,7 +293,7 @@ impl RoundEngine {
         // The join handshake is round 0: its θ₁ is the first top-k
         // reference.
         engine.reference.push(0, engine.server.global().to_vec());
-        engine
+        Ok(engine)
     }
 
     /// The engine's policy.
@@ -651,7 +693,7 @@ mod tests {
 
     fn engine(n: usize) -> RoundEngine {
         let policy = EnginePolicy::from_config(&FedAvgConfig::paper());
-        RoundEngine::new(vec![0.0; 4], policy, (0..n).collect())
+        RoundEngine::new(vec![0.0; 4], policy, (0..n).collect()).expect("valid policy")
     }
 
     fn upload_frame(round: u64, id: usize, params: Vec<f32>) -> Vec<u8> {
@@ -744,7 +786,7 @@ mod tests {
             min_quorum: 2,
             ..EnginePolicy::from_config(&FedAvgConfig::paper())
         };
-        let mut eng = RoundEngine::new(vec![0.5; 4], policy, vec![0]);
+        let mut eng = RoundEngine::new(vec![0.5; 4], policy, vec![0]).expect("valid policy");
         join(&mut eng, 0);
         eng.handle(Frame::BeginRound, &mut NullRecorder);
         upload(&mut eng, 0, upload_frame(1, 0, vec![9.0; 4]));
@@ -790,7 +832,7 @@ mod tests {
             deadline_ticks: Some(2),
             ..EnginePolicy::from_config(&FedAvgConfig::paper())
         };
-        let mut eng = RoundEngine::new(vec![0.0; 4], policy, vec![0, 1]);
+        let mut eng = RoundEngine::new(vec![0.0; 4], policy, vec![0, 1]).expect("valid policy");
         for slot in 0..2 {
             join(&mut eng, slot);
         }

@@ -304,6 +304,9 @@ pub struct PlanCounts {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     cells: BTreeMap<(usize, u64), Fault>,
+    /// The longest crash outage scheduled: how many cells back the
+    /// outage rule ([`FaultPlan::is_offline`]) has to look.
+    longest_crash: u64,
 }
 
 impl FaultPlan {
@@ -337,6 +340,7 @@ impl FaultPlan {
         );
         let mut rng = StdRng::seed_from_u64(seed);
         let mut cells = BTreeMap::new();
+        let mut longest_crash = 0;
         for client in 0..num_clients {
             let mut round = 1;
             while round <= rounds {
@@ -345,6 +349,7 @@ impl FaultPlan {
                 if draw < threshold {
                     let down_rounds = rng.random_range(1..=config.max_crash_rounds);
                     cells.insert((client, round), Fault::Crash { down_rounds });
+                    longest_crash = longest_crash.max(down_rounds);
                     round += down_rounds;
                     continue;
                 }
@@ -369,7 +374,10 @@ impl FaultPlan {
                 round += 1;
             }
         }
-        FaultPlan { cells }
+        FaultPlan {
+            cells,
+            longest_crash,
+        }
     }
 
     /// A byzantine plan: `client` uploads an `Amplify(factor)`-corrupted
@@ -389,12 +397,30 @@ impl FaultPlan {
     /// Schedules `fault` for `client` in `round` (replacing any previous
     /// fault in that cell).
     pub fn insert(&mut self, client: usize, round: u64, fault: Fault) {
+        if let Fault::Crash { down_rounds } = fault {
+            self.longest_crash = self.longest_crash.max(down_rounds);
+        }
         self.cells.insert((client, round), fault);
     }
 
     /// The fault scheduled for `client` in `round`, if any.
     pub fn fault_at(&self, client: usize, round: u64) -> Option<Fault> {
         self.cells.get(&(client, round)).copied()
+    }
+
+    /// Whether `client` is inside a crash outage in `round`, by the rule
+    /// both fault paths share ([`FaultyTransport`] and [`crate::Fleet`]):
+    /// the latest crash cell at or before `round` sets the rejoin round,
+    /// so a later crash replaces an earlier outage rather than extending
+    /// it.
+    pub fn is_offline(&self, client: usize, round: u64) -> bool {
+        let from = round.saturating_sub(self.longest_crash);
+        in_outage(
+            self.cells
+                .range((client, from)..=(client, round))
+                .map(|(&(_, r), &f)| (r, f)),
+            round,
+        )
     }
 
     /// Whether the plan schedules no faults at all.
@@ -432,16 +458,30 @@ impl FaultPlan {
     }
 }
 
+/// The crash-outage rule over one client's `(round, fault)` cells, in
+/// round order, that lie at or before `round`: the latest crash among
+/// them decides whether its outage still covers `round`.
+fn in_outage(cells: impl DoubleEndedIterator<Item = (u64, Fault)>, round: u64) -> bool {
+    cells
+        .rev()
+        .find_map(|(start, fault)| match fault {
+            Fault::Crash { down_rounds } => Some(start + down_rounds > round),
+            _ => None,
+        })
+        .unwrap_or(false)
+}
+
 /// One client's fault schedule unfolding over rounds: the state machine
 /// driving [`FaultyTransport`]'s byte-level actuation.
 ///
-/// Tracks the current round, any crash outage in progress, and the
-/// remaining transmissions an [`Fault::UploadDrop`] still has to lose.
+/// Tracks the current round and the remaining transmissions an
+/// [`Fault::UploadDrop`] still has to lose.
 #[derive(Debug)]
 struct FaultState {
     faults: BTreeMap<u64, Fault>,
     round: u64,
-    rejoin_round: u64,
+    /// The plan's [`FaultPlan::longest_crash`].
+    longest_crash: u64,
     pending_drop_attempts: u64,
 }
 
@@ -457,30 +497,28 @@ impl FaultState {
         FaultState {
             faults,
             round: 0,
-            rejoin_round: 0,
+            longest_crash: plan.longest_crash,
             pending_drop_attempts: 0,
         }
     }
 
-    /// Advances to `round`, arming any crash or upload-drop scheduled
-    /// there.
+    /// Advances to `round`, arming any upload-drop scheduled there.
     fn begin_round(&mut self, round: u64) {
         self.round = round;
-        self.pending_drop_attempts = 0;
-        match self.faults.get(&round) {
-            Some(Fault::Crash { down_rounds }) => {
-                self.rejoin_round = round + down_rounds;
-            }
-            Some(Fault::UploadDrop { attempts }) => {
-                self.pending_drop_attempts = *attempts;
-            }
-            _ => {}
-        }
+        self.pending_drop_attempts = match self.faults.get(&round) {
+            Some(Fault::UploadDrop { attempts }) => *attempts,
+            _ => 0,
+        };
     }
 
-    /// Whether the client is inside a crash outage.
+    /// Whether the client is outside a crash outage
+    /// ([`FaultPlan::is_offline`]'s rule).
     fn is_online(&self) -> bool {
-        self.round >= self.rejoin_round
+        let from = self.round.saturating_sub(self.longest_crash);
+        !in_outage(
+            self.faults.range(from..=self.round).map(|(&r, &f)| (r, f)),
+            self.round,
+        )
     }
 
     /// The fault scheduled for the current round, if any.

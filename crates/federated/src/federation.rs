@@ -80,6 +80,22 @@ impl FedAvgConfig {
             max_wire_version: wire::CODEC_VERSION,
         }
     }
+
+    /// Checks the configuration: participation in (0, 1] here, every
+    /// engine-side rule through [`EnginePolicy::validate`].
+    ///
+    /// # Errors
+    ///
+    /// [`FedError::InvalidConfig`] naming the first rule broken.
+    pub fn validate(&self) -> Result<(), FedError> {
+        let p = self.participation;
+        if !(p > 0.0 && p <= 1.0) {
+            return Err(FedError::InvalidConfig(format!(
+                "participation must be in (0, 1], got {p}"
+            )));
+        }
+        EnginePolicy::from_config(self).validate()
+    }
 }
 
 impl Default for FedAvgConfig {
@@ -207,15 +223,19 @@ impl<'p, C: FederatedClient> FederationBuilder<'p, C> {
     ///
     /// # Errors
     ///
-    /// [`FedError::InvalidConfig`] when a link cannot be established
+    /// [`FedError::InvalidConfig`] when `clients` is empty, the
+    /// configuration fails [`FedAvgConfig::validate`], explicit `links`
+    /// and `clients` disagree in length, or a link cannot be established
     /// (e.g. no loopback networking for [`TransportKind::Tcp`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients` is empty, explicit `links` and `clients`
-    /// disagree in length, or `participation`/`staleness_decay` are out
-    /// of range.
     pub fn build(self) -> Result<Federation<C>, FedError> {
+        let config = self.config;
+        config.validate()?;
+        let mut clients = self.clients;
+        if clients.is_empty() {
+            return Err(FedError::InvalidConfig(
+                "federation needs at least one client".to_string(),
+            ));
+        }
         let links: Vec<Box<dyn Transport>> = match self.links {
             Some(links) => match self.plan {
                 Some(p) => links
@@ -225,8 +245,8 @@ impl<'p, C: FederatedClient> FederationBuilder<'p, C> {
                 None => links,
             },
             None => {
-                let mut links: Vec<Box<dyn Transport>> = Vec::with_capacity(self.clients.len());
-                for c in &self.clients {
+                let mut links: Vec<Box<dyn Transport>> = Vec::with_capacity(clients.len());
+                for c in &clients {
                     let link = self.kind.connect(c.id())?;
                     links.push(match self.plan {
                         Some(p) => Box::new(FaultyTransport::new(link, p)),
@@ -236,13 +256,31 @@ impl<'p, C: FederatedClient> FederationBuilder<'p, C> {
                 links
             }
         };
-        Ok(Federation::assemble(
-            self.clients,
+        if links.len() != clients.len() {
+            return Err(FedError::InvalidConfig(format!(
+                "federation needs exactly one transport link per client, got {} links for {} clients",
+                links.len(),
+                clients.len()
+            )));
+        }
+        let initial = clients[0].upload().params;
+        let ids: Vec<usize> = clients.iter().map(FederatedClient::id).collect();
+        let engine = RoundEngine::new(initial, EnginePolicy::from_config(&config), ids)?;
+        let mut fed = Federation {
+            config,
+            engine,
+            clients,
             links,
-            self.config,
-            self.seed,
-            self.recorder,
-        ))
+            transport: TransportStats::new(),
+            recorder: self.recorder,
+            rng: derive_rng(self.seed, streams::FEDERATION),
+            pool: WorkerPool::default(),
+            workspaces: Vec::new(),
+        };
+        for i in 0..fed.clients.len() {
+            fed.join_client(i);
+        }
+        Ok(fed)
     }
 }
 
@@ -255,12 +293,12 @@ impl<C: FederatedClient> Federation<C> {
     ///
     /// # Panics
     ///
-    /// Panics if `clients` is empty or `participation` is outside `(0, 1]`.
+    /// Panics where [`FederationBuilder::build`] returns an error.
     pub fn new(clients: Vec<C>, config: FedAvgConfig, seed: u64) -> Self {
         Self::builder(clients, config)
             .seed(seed)
             .build()
-            .expect("channel links are infallible")
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Starts staged construction of a federation — the one constructor
@@ -284,12 +322,7 @@ impl<C: FederatedClient> Federation<C> {
     ///
     /// # Errors
     ///
-    /// [`FedError::InvalidConfig`] when a link cannot be established (e.g.
-    /// no loopback networking for [`TransportKind::Tcp`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Federation::new`] on invalid configuration.
+    /// As [`FederationBuilder::build`].
     #[deprecated(
         since = "0.1.0",
         note = "use `Federation::builder(clients, config).seed(..).transport(kind).build()`"
@@ -312,11 +345,7 @@ impl<C: FederatedClient> Federation<C> {
     ///
     /// # Errors
     ///
-    /// [`FedError::InvalidConfig`] when a link cannot be established.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Federation::new`] on invalid configuration.
+    /// As [`FederationBuilder::build`].
     #[deprecated(
         since = "0.1.0",
         note = "use `Federation::builder(..).transport(kind).fault_plan(plan).build()`"
@@ -341,11 +370,7 @@ impl<C: FederatedClient> Federation<C> {
     ///
     /// # Errors
     ///
-    /// [`FedError::InvalidConfig`] when a link cannot be established.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Federation::new`] on invalid configuration.
+    /// As [`FederationBuilder::build`].
     #[deprecated(
         since = "0.1.0",
         note = "use `Federation::builder(..)` with `.transport`/`.fault_plan`/`.recorder`"
@@ -373,8 +398,7 @@ impl<C: FederatedClient> Federation<C> {
     ///
     /// # Panics
     ///
-    /// Panics if `clients` is empty, `links` and `clients` disagree in
-    /// length, or `participation`/`staleness_decay` are out of range.
+    /// Panics where [`FederationBuilder::build`] returns an error.
     #[deprecated(
         since = "0.1.0",
         note = "use `Federation::builder(clients, config).seed(..).links(links).build()`"
@@ -389,7 +413,7 @@ impl<C: FederatedClient> Federation<C> {
             .seed(seed)
             .links(links)
             .build()
-            .expect("explicit links are infallible")
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`Federation::with_links`], with an explicit telemetry
@@ -398,7 +422,7 @@ impl<C: FederatedClient> Federation<C> {
     ///
     /// # Panics
     ///
-    /// Panics like [`Federation::with_links`] on invalid configuration.
+    /// Panics where [`FederationBuilder::build`] returns an error.
     #[deprecated(
         since = "0.1.0",
         note = "use `Federation::builder(..).links(links).recorder(recorder).build()`"
@@ -415,70 +439,7 @@ impl<C: FederatedClient> Federation<C> {
             .links(links)
             .recorder(recorder)
             .build()
-            .expect("explicit links are infallible")
-    }
-
-    /// Assembles the federation once links exist — shared tail of every
-    /// construction path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients` is empty, `links` and `clients` disagree in
-    /// length, or `participation`/`staleness_decay` are out of range.
-    fn assemble(
-        clients: Vec<C>,
-        links: Vec<Box<dyn Transport>>,
-        config: FedAvgConfig,
-        seed: u64,
-        recorder: Box<dyn Recorder>,
-    ) -> Self {
-        assert!(!clients.is_empty(), "federation needs at least one client");
-        assert_eq!(
-            clients.len(),
-            links.len(),
-            "federation needs exactly one transport link per client"
-        );
-        assert!(
-            config.participation > 0.0 && config.participation <= 1.0,
-            "participation must be in (0, 1], got {}",
-            config.participation
-        );
-        assert!(
-            config.staleness_decay > 0.0 && config.staleness_decay <= 1.0,
-            "staleness_decay must be in (0, 1], got {}",
-            config.staleness_decay
-        );
-        if let wire::Codec::TopK { frac } = config.codec {
-            assert!(
-                frac.is_finite() && frac > 0.0 && frac <= 1.0,
-                "topk fraction must be in (0, 1], got {frac}"
-            );
-        }
-        assert!(
-            config.max_wire_version >= wire::VERSION,
-            "max_wire_version must be at least {}, got {}",
-            wire::VERSION,
-            config.max_wire_version
-        );
-        let mut clients = clients;
-        let initial = clients[0].upload().params;
-        let ids: Vec<usize> = clients.iter().map(FederatedClient::id).collect();
-        let engine = RoundEngine::new(initial, EnginePolicy::from_config(&config), ids);
-        let mut fed = Federation {
-            config,
-            engine,
-            clients,
-            links,
-            transport: TransportStats::new(),
-            recorder,
-            rng: derive_rng(seed, streams::FEDERATION),
-            pool: WorkerPool::default(),
-            workspaces: Vec::new(),
-        };
-        for i in 0..fed.clients.len() {
-            fed.join_client(i);
-        }
-        fed
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Delivers the join acknowledgement (initial model) to one client.
@@ -1135,6 +1096,19 @@ mod tests {
     #[should_panic(expected = "at least one client")]
     fn empty_federation_panics() {
         let _: Federation<FakeClient> = Federation::new(vec![], FedAvgConfig::paper(), 0);
+    }
+
+    #[test]
+    fn builder_rejects_missing_clients_and_links_with_typed_errors() {
+        let none = Federation::<FakeClient>::builder(vec![], FedAvgConfig::paper()).build();
+        assert!(matches!(none, Err(FedError::InvalidConfig(_))));
+        let clients = vec![FakeClient::new(0, 0.0), FakeClient::new(1, 1.0)];
+        let one_link: Vec<Box<dyn Transport>> =
+            vec![Box::new(crate::transport::ChannelTransport::connect(0))];
+        let short = Federation::builder(clients, FedAvgConfig::paper())
+            .links(one_link)
+            .build();
+        assert!(matches!(short, Err(FedError::InvalidConfig(_))));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! round *topology*:
 //!
 //! * the client id space is split into contiguous shards;
-//! * each shard is reduced by an [`EdgeAggregator`] on a worker slot of
+//! * each shard is reduced by an edge aggregator on a worker slot of
 //!   the crate's [`WorkerPool`], materializing clients **one at a time**
 //!   from a [`FleetClientFactory`], training each against a persistent
 //!   per-worker workspace, folding its update into a shard-local
@@ -34,8 +34,9 @@
 //!
 //! Fault semantics mirror the flat engine's exactly, actuated from the
 //! plan instead of a per-link state machine: crash outages skip the
-//! client (it later resumes from the model it last held, tracked in a
-//! stale-model ledger), upload drops spend the shared retry budget,
+//! client by the rule the flat links use ([`FaultPlan::is_offline`]; it
+//! later resumes from the model it last held, tracked in a stale-model
+//! ledger), upload drops spend the shared retry budget,
 //! corruption is rejected by server admission, stragglers surface late at
 //! a staleness-discounted weight, and dropped broadcasts leave the client
 //! on its own post-round parameters. One documented approximation exists:
@@ -49,11 +50,11 @@ use crate::fault::{Fault, FaultPlan};
 use crate::federation::FedAvgConfig;
 use crate::pool::WorkerPool;
 use crate::report::{RoundReport, Tee, TransportStats};
-use crate::server::{AggregationStrategy, RoundAccumulator, ServerOpt};
+use crate::server::{AggregationStrategy, RoundAccumulator};
 use crate::wire;
 use fedpower_telemetry::{Counter, Event, EventKind, NullRecorder, Recorder, Span};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -138,8 +139,6 @@ struct ShardContext<'a, F: FleetClientFactory> {
     /// means the client holds the current global.
     ledger: &'a BTreeMap<usize, Vec<f32>>,
     plan: &'a FaultPlan,
-    /// `(client, round)` cells inside a crash outage.
-    offline: &'a BTreeSet<(usize, u64)>,
     round: u64,
     steps: u64,
     strategy: AggregationStrategy,
@@ -191,14 +190,10 @@ impl Recorder for ShardTelemetry {
 /// Reduces one shard of clients into a partial round: a shard-local
 /// [`RoundAccumulator`] plus the buffered telemetry and cross-round side
 /// effects (straggler stashes, stale-model retentions) the root applies
-/// after the merge.
-///
-/// Edge aggregators only exist for streaming (mean-based) strategies —
-/// [`EdgeAggregator::new`] rejects robust combiners with
-/// [`FedError::UnsupportedInFleet`], the same check [`Fleet`] applies at
-/// construction.
+/// after the merge. Only streaming (mean-based) strategies reach here:
+/// [`Fleet::with_options`] rejects robust combiners up front.
 #[derive(Debug)]
-pub struct EdgeAggregator {
+struct EdgeAggregator {
     shard: usize,
     round: u64,
     acc: RoundAccumulator,
@@ -217,81 +212,20 @@ pub struct EdgeAggregator {
 }
 
 impl EdgeAggregator {
-    /// Opens an empty shard reducer for `round`, aggregating models of
-    /// `model_len` parameters under `strategy`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FedError::UnsupportedInFleet`] for the buffering
-    /// (robust) strategies, whose partials do not merge associatively.
-    pub fn new(
-        shard: usize,
-        round: u64,
-        strategy: AggregationStrategy,
-        model_len: usize,
-    ) -> Result<Self, FedError> {
-        Self::with_codec(shard, round, strategy, model_len, wire::Codec::Dense32)
-    }
-
-    /// Like [`EdgeAggregator::new`], with upload bytes accounted at the
-    /// framed length of `codec` instead of dense f32.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FedError::UnsupportedInFleet`] like [`EdgeAggregator::new`].
-    pub fn with_codec(
-        shard: usize,
-        round: u64,
-        strategy: AggregationStrategy,
-        model_len: usize,
-        codec: wire::Codec,
-    ) -> Result<Self, FedError> {
-        if !strategy.shard_reducible() {
-            return Err(FedError::UnsupportedInFleet { strategy });
-        }
-        Ok(EdgeAggregator {
+    /// Opens an empty reducer for `shard` in `ctx`'s round.
+    fn new<F: FleetClientFactory>(ctx: &ShardContext<'_, F>, shard: usize) -> Self {
+        EdgeAggregator {
             shard,
-            round,
-            acc: RoundAccumulator::for_model(strategy, model_len),
+            round: ctx.round,
+            acc: RoundAccumulator::for_model(ctx.strategy, ctx.global.len()),
             telemetry: ShardTelemetry::default(),
             stragglers: Vec::new(),
             retained: Vec::new(),
             upload_bytes: 0,
             clients_processed: 0,
             secs: 0.0,
-            codec,
-        })
-    }
-
-    /// The shard index this aggregator reduces.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// The round this aggregator belongs to.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Updates admitted into the shard partial so far.
-    pub fn admitted(&self) -> usize {
-        self.acc.admitted()
-    }
-
-    /// Online clients this shard materialized and trained.
-    pub fn clients_processed(&self) -> u64 {
-        self.clients_processed
-    }
-
-    /// Upload frame bytes this shard received.
-    pub fn upload_bytes(&self) -> u64 {
-        self.upload_bytes
-    }
-
-    /// Consumes the reducer, returning the shard-local partial
-    /// accumulator for merging into the root's.
-    pub fn into_accumulator(self) -> RoundAccumulator {
-        self.acc
+            codec: ctx.codec,
+        }
     }
 
     /// Records the arrival of a fresh upload and admits it at unit
@@ -324,7 +258,7 @@ impl EdgeAggregator {
         ws: &mut <F::Client as FederatedClient>::Workspace,
     ) {
         let round = ctx.round;
-        if ctx.offline.contains(&(id, round)) {
+        if ctx.plan.is_offline(id, round) {
             self.telemetry
                 .event(Event::client_scoped(EventKind::ClientOffline, round, id));
             return;
@@ -431,7 +365,7 @@ impl EdgeAggregator {
         let round = ctx.round;
         let mut prepared: Vec<(usize, Option<F::Client>)> = Vec::with_capacity(ids.len());
         for id in ids.clone() {
-            if ctx.offline.contains(&(id, round)) {
+            if ctx.plan.is_offline(id, round) {
                 prepared.push((id, None));
                 continue;
             }
@@ -471,7 +405,7 @@ impl EdgeAggregator {
     }
 }
 
-/// Runs one shard: an [`EdgeAggregator`] over a contiguous client range,
+/// Runs one shard: an edge aggregator over a contiguous client range,
 /// materializing clients lazily against the worker's persistent
 /// workspace. With a block width above one, clients are processed in
 /// lockstep blocks so compatible clients share batched action-selection
@@ -483,9 +417,7 @@ fn run_shard<F: FleetClientFactory>(
     ws: &mut <F::Client as FederatedClient>::Workspace,
 ) -> EdgeAggregator {
     let start = Instant::now();
-    let mut edge =
-        EdgeAggregator::with_codec(shard, ctx.round, ctx.strategy, ctx.global.len(), ctx.codec)
-            .expect("fleet construction validated the strategy");
+    let mut edge = EdgeAggregator::new(ctx, shard);
     if ctx.batch <= 1 {
         for id in clients {
             edge.process_client(ctx, id, ws);
@@ -507,7 +439,7 @@ fn run_shard<F: FleetClientFactory>(
 /// Construction validates the configuration ([`Fleet::with_options`]);
 /// [`Fleet::run_round`] then executes rounds with the same phase
 /// structure, event vocabulary, and accounting as the flat
-/// [`crate::Federation`], but fanned out over [`EdgeAggregator`] shards.
+/// [`crate::Federation`], but fanned out over edge-aggregator shards.
 /// For stateless clients the committed global model is bit-identical to
 /// the flat engine's for every shard count — see the crate docs and
 /// `tests/fleet_determinism.rs`.
@@ -519,12 +451,6 @@ pub struct Fleet<F: FleetClientFactory> {
     /// happen here.
     engine: RoundEngine,
     plan: FaultPlan,
-    /// `(client, round)` cells inside a crash outage, precomputed from
-    /// the plan.
-    offline: BTreeSet<(usize, u64)>,
-    /// Round → clients whose crash outage begins there (they pin their
-    /// currently held model into the ledger).
-    crash_starts: BTreeMap<u64, Vec<usize>>,
     /// Stale models of clients that missed broadcasts; absence means the
     /// client holds the current global.
     ledger: BTreeMap<usize, Vec<f32>>,
@@ -570,10 +496,10 @@ impl<F: FleetClientFactory> Fleet<F> {
     /// Returns [`FedError::UnsupportedInFleet`] when the aggregation
     /// strategy is a robust (buffering) combiner, and
     /// [`FedError::InvalidConfig`] when the fleet shape is degenerate
-    /// (zero clients or shards, an empty initial model) or the federated
-    /// settings are outside the sharded engine's domain (partial
-    /// participation, update noise, out-of-range staleness decay or
-    /// momentum).
+    /// (zero clients, shards or batch slots), the federated settings are
+    /// outside the sharded engine's domain (partial participation, update
+    /// noise), or [`RoundEngine::new`] rejects the initial model or
+    /// policy.
     pub fn with_options(
         factory: F,
         config: FleetConfig,
@@ -609,70 +535,22 @@ impl<F: FleetClientFactory> Fleet<F> {
                 fed.update_noise_sigma
             )));
         }
-        if !(fed.staleness_decay > 0.0 && fed.staleness_decay <= 1.0) {
-            return Err(FedError::InvalidConfig(format!(
-                "staleness_decay must be in (0, 1], got {}",
-                fed.staleness_decay
-            )));
-        }
-        if let wire::Codec::TopK { frac } = fed.codec {
-            if !(frac.is_finite() && frac > 0.0 && frac <= 1.0) {
-                return Err(FedError::InvalidConfig(format!(
-                    "topk fraction must be in (0, 1], got {frac}"
-                )));
-            }
-        }
-        if !(0.0..1.0).contains(&fed.server_momentum) {
-            return Err(FedError::InvalidConfig(format!(
-                "server momentum must be in [0, 1), got {}",
-                fed.server_momentum
-            )));
-        }
         if !fed.strategy.shard_reducible() {
             return Err(FedError::UnsupportedInFleet {
                 strategy: fed.strategy,
             });
         }
-        if let Err(msg) = fed.optimizer.validate() {
-            return Err(FedError::InvalidConfig(msg));
-        }
-        if matches!(fed.optimizer, ServerOpt::FedAdam { .. }) && fed.server_momentum != 0.0 {
-            return Err(FedError::InvalidConfig(format!(
-                "server_momentum is a FedAvg(M) setting and must be 0 under FedAdam \
-                 (FedAdam maintains its own moments), got {}",
-                fed.server_momentum
-            )));
-        }
-        let policy = EnginePolicy::from_config(fed);
-        let initial = factory.initial_global();
-        if initial.is_empty() {
-            return Err(FedError::InvalidConfig(
-                "initial global model cannot be empty".to_string(),
-            ));
-        }
         // Fleet slots are the dense id space itself.
-        let engine = RoundEngine::new(initial, policy, (0..config.num_clients).collect());
-        let plan = plan.cloned().unwrap_or_default();
-        let mut offline = BTreeSet::new();
-        let mut crash_starts: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (client, round, fault) in plan.iter() {
-            if client >= config.num_clients {
-                continue;
-            }
-            if let Fault::Crash { down_rounds } = fault {
-                crash_starts.entry(round).or_default().push(client);
-                for r in round..round + down_rounds {
-                    offline.insert((client, r));
-                }
-            }
-        }
+        let engine = RoundEngine::new(
+            factory.initial_global(),
+            EnginePolicy::from_config(fed),
+            (0..config.num_clients).collect(),
+        )?;
         let mut fleet = Fleet {
             factory,
             config,
             engine,
-            plan,
-            offline,
-            crash_starts,
+            plan: plan.cloned().unwrap_or_default(),
             ledger: BTreeMap::new(),
             stash: BTreeMap::new(),
             transport: TransportStats::new(),
@@ -748,7 +626,7 @@ impl<F: FleetClientFactory> Fleet<F> {
     /// Executes one sharded federated round.
     ///
     /// Phases: shard fan-out (materialize → train → upload, reduced by
-    /// one [`EdgeAggregator`] per shard), root merge of the shard
+    /// one edge aggregator per shard), root merge of the shard
     /// partials, straggler surfacing, quorum-checked commit, and
     /// broadcast accounting. Every fault the plan schedules is realized
     /// with the flat engine's semantics; like the flat engine, the round
@@ -759,14 +637,6 @@ impl<F: FleetClientFactory> Fleet<F> {
         self.feed(&mut report, Frame::BeginRound);
 
         let global: Vec<f32> = self.engine.global().to_vec();
-        // Clients whose crash outage begins this round pin the model they
-        // currently hold; an existing ledger entry (earlier missed
-        // broadcast) already records exactly that.
-        if let Some(crashing) = self.crash_starts.get(&round) {
-            for &id in crashing {
-                self.ledger.entry(id).or_insert_with(|| global.clone());
-            }
-        }
 
         let chunk = self.config.num_clients.div_ceil(self.config.shards);
         let ranges: Vec<(usize, Range<usize>)> = (0..self.config.shards)
@@ -781,7 +651,6 @@ impl<F: FleetClientFactory> Fleet<F> {
             global: &global,
             ledger: &self.ledger,
             plan: &self.plan,
-            offline: &self.offline,
             round,
             steps: self.config.fedavg.steps_per_round,
             strategy: self.config.fedavg.strategy,
@@ -848,7 +717,7 @@ impl<F: FleetClientFactory> Fleet<F> {
         let ready: Vec<usize> = self
             .stash
             .iter()
-            .filter(|(id, s)| round >= s.ready && !self.offline.contains(&(**id, round)))
+            .filter(|(&id, s)| round >= s.ready && !self.plan.is_offline(id, round))
             .map(|(&id, _)| id)
             .collect();
         for id in ready {
@@ -873,13 +742,16 @@ impl<F: FleetClientFactory> Fleet<F> {
             .span(Span::new("aggregate", round, report.timing.aggregate_s));
 
         // Broadcast accounting: offline clients are skipped silently (as
-        // in the flat engine); a dropped broadcast leaves the client on
-        // its own post-round parameters via the ledger; a delivered one
-        // syncs it back to the global.
+        // in the flat engine) and keep the model they held at round
+        // start, which an existing ledger entry (earlier missed broadcast)
+        // already records; a dropped broadcast leaves the client on its
+        // own post-round parameters via the ledger; a delivered one syncs
+        // it back to the global.
         let broadcast_start = Instant::now();
         let frame_len = wire::broadcast_frame_len(self.engine.global().len());
         for id in 0..self.config.num_clients {
-            if self.offline.contains(&(id, round)) {
+            if self.plan.is_offline(id, round) {
+                self.ledger.entry(id).or_insert_with(|| global.clone());
                 continue;
             }
             let frame = if matches!(self.plan.fault_at(id, round), Some(Fault::DownloadDrop)) {
@@ -1035,8 +907,6 @@ mod tests {
             config.fedavg.strategy = strategy;
             let err = Fleet::new(StubFactory { dim: 4 }, config).expect_err("rejected");
             assert_eq!(err, FedError::UnsupportedInFleet { strategy });
-            let err = EdgeAggregator::new(0, 1, strategy, 4).expect_err("rejected");
-            assert_eq!(err, FedError::UnsupportedInFleet { strategy });
         }
     }
 
@@ -1056,16 +926,82 @@ mod tests {
         let mut noisy = fleet_config(4, 2, 1);
         noisy.fedavg.update_noise_sigma = 0.1;
         assert!(bad(noisy), "update noise");
-        let mut decay = fleet_config(4, 2, 1);
-        decay.fedavg.staleness_decay = 0.0;
-        assert!(bad(decay), "staleness decay");
-        assert!(
-            matches!(
-                Fleet::new(StubFactory { dim: 0 }, fleet_config(4, 2, 1)),
-                Err(FedError::InvalidConfig(_))
+    }
+
+    /// Every engine-side rule, broken one at a time, is the same typed
+    /// error from all three drivers, and none of them panics.
+    #[test]
+    fn engine_rules_are_typed_errors_in_every_driver() {
+        use crate::netserver::{serve_on, ServeOptions};
+        use crate::server::ServerOpt;
+        fn adam(lr: f32, beta1: f32, eps: f32) -> ServerOpt {
+            ServerOpt::FedAdam {
+                lr,
+                beta1,
+                beta2: 0.99,
+                eps,
+            }
+        }
+        // Zero rounds: the server returns before waiting for clients.
+        let valid = FedAvgConfig {
+            rounds: 0,
+            ..FedAvgConfig::paper()
+        };
+        let with = |breaks: fn(&mut FedAvgConfig)| {
+            let mut config = valid;
+            breaks(&mut config);
+            config
+        };
+        let invalid_everywhere = |rule: &str, config: FedAvgConfig, dim: usize| {
+            let clients = (0..2).map(|id| StubClient::new(id, dim)).collect();
+            let flat = Federation::builder(clients, config).build().err();
+            let shape = FleetConfig {
+                fedavg: config,
+                num_clients: 2,
+                shards: 1,
+                batch: 1,
+            };
+            let fleet = Fleet::new(StubFactory { dim }, shape).err();
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("loopback");
+            let opts = ServeOptions::new(2, config, vec![0.0; dim]);
+            let served = serve_on(listener, &opts, &mut NullRecorder).err();
+            for (driver, err) in [("federation", flat), ("fleet", fleet), ("server", served)] {
+                assert!(
+                    matches!(err, Some(FedError::InvalidConfig(_))),
+                    "{driver}, {rule}: {err:?}"
+                );
+            }
+        };
+        for (rule, config) in [
+            ("decay 0", with(|c| c.staleness_decay = 0.0)),
+            ("decay 2", with(|c| c.staleness_decay = 2.0)),
+            (
+                "topk 0",
+                with(|c| c.codec = wire::Codec::TopK { frac: 0.0 }),
             ),
-            "empty model"
-        );
+            ("momentum 1", with(|c| c.server_momentum = 1.0)),
+            ("wire version 0", with(|c| c.max_wire_version = 0)),
+            ("fedadam lr", with(|c| c.optimizer = adam(-1.0, 0.9, 1e-3))),
+            (
+                "fedadam beta",
+                with(|c| c.optimizer = adam(0.01, 1.0, 1e-3)),
+            ),
+            ("fedadam eps", with(|c| c.optimizer = adam(0.01, 0.9, 0.0))),
+            (
+                "fedprox mu",
+                with(|c| c.optimizer = ServerOpt::FedProx { mu: -1.0 }),
+            ),
+            (
+                "momentum under fedadam",
+                with(|c| {
+                    c.optimizer = ServerOpt::fedadam();
+                    c.server_momentum = 0.5;
+                }),
+            ),
+        ] {
+            invalid_everywhere(rule, config, 4);
+        }
+        invalid_everywhere("empty model", valid, 0);
     }
 
     #[test]
@@ -1296,6 +1232,29 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_crashes_follow_the_flat_links_outage_rule() {
+        // The later crash sets the rejoin round: client 0 is down in
+        // rounds 1 and 2 and back in round 3, as on a flat link.
+        let mut plan = FaultPlan::none();
+        plan.insert(0, 1, Fault::Crash { down_rounds: 3 });
+        plan.insert(0, 2, Fault::Crash { down_rounds: 1 });
+        let (flat_global, flat_reports, flat_transport) = flat_run(3, 5, Some(&plan));
+        let mut fleet = Fleet::with_options(
+            StubFactory { dim: 4 },
+            fleet_config(3, 2, 5),
+            Some(&plan),
+            Box::new(NullRecorder),
+        )
+        .expect("constructs");
+        let reports = fleet.run();
+        assert_eq!(reports, flat_reports);
+        assert_eq!(fleet.global_params(), flat_global.as_slice());
+        assert_eq!(fleet.transport(), &flat_transport);
+        let offline: Vec<usize> = reports.iter().map(|r| r.offline).collect();
+        assert_eq!(offline, [1, 1, 0, 0, 0]);
+    }
+
+    #[test]
     fn more_shards_than_clients_merges_empty_partials() {
         let mut fleet =
             Fleet::new(StubFactory { dim: 4 }, fleet_config(3, 8, 2)).expect("constructs");
@@ -1373,13 +1332,5 @@ mod tests {
             .map(|c| c.value)
             .sum();
         assert_eq!(bytes, 10 * codec.upload_frame_len(4) as u64);
-    }
-
-    #[test]
-    fn invalid_topk_fraction_is_rejected_at_fleet_construction() {
-        let mut cfg = fleet_config(4, 2, 1);
-        cfg.fedavg.codec = wire::Codec::TopK { frac: 0.0 };
-        let err = Fleet::new(StubFactory { dim: 4 }, cfg).expect_err("rejected");
-        assert!(matches!(err, FedError::InvalidConfig(_)), "{err:?}");
     }
 }

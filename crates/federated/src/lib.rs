@@ -27,7 +27,7 @@
 //!   client faults via minimum-quorum aggregation, bounded upload retries,
 //!   staleness-discounted straggler updates, and NaN/shape admission,
 //! * [`Fleet`] — hierarchical (sharded) cross-device orchestration: each
-//!   [`EdgeAggregator`] reduces a shard of lazily materialized clients
+//!   edge aggregator reduces a shard of lazily materialized clients
 //!   into an exact partial sum ([`ExactSum`] arithmetic), and the merged
 //!   partials commit through the same server path bit-identically to a
 //!   flat round — which is what keeps a 100k-client round inside a fixed
@@ -86,7 +86,7 @@ pub use fault::{
     CorruptionKind, Fault, FaultConfig, FaultPlan, FaultScenario, FaultyTransport, PlanCounts,
 };
 pub use federation::{FedAvgConfig, Federation, FederationBuilder};
-pub use fleet::{EdgeAggregator, Fleet, FleetClientFactory, FleetConfig};
+pub use fleet::{Fleet, FleetClientFactory, FleetConfig};
 pub use netserver::{run_client, serve, serve_on, JoinOptions, ServeOptions, ServeReport};
 pub use pool::WorkerPool;
 pub use server::{

@@ -56,7 +56,7 @@ use crate::federation::FedAvgConfig;
 use crate::wire;
 use fedpower_telemetry::{Event, EventKind, Recorder};
 use fedpower_wire::checkpoint::Checkpoint;
-use fedpower_wire::stream::{prefix_frame, FrameReassembler};
+use fedpower_wire::stream::{prefix_frame, read_frame, FrameReassembler};
 use fedpower_wire::{Envelope, MsgKind, Payload};
 use std::collections::BTreeSet;
 use std::io::{ErrorKind, Read, Write};
@@ -164,8 +164,9 @@ struct RoundLedger {
 /// # Errors
 ///
 /// [`FedError::Io`] when the listener cannot bind or a checkpoint
-/// cannot be written/restored; [`FedError::InvalidConfig`] when the
-/// options are degenerate or a restored checkpoint disagrees with the
+/// cannot be written/restored; [`FedError::InvalidConfig`] when there
+/// are no client slots, [`RoundEngine::new`] rejects the initial model
+/// or policy, or a restored checkpoint disagrees with the
 /// configuration. Individual connection failures are *not* errors —
 /// they are churn, accounted through the engine.
 pub fn serve(opts: &ServeOptions, recorder: &mut dyn Recorder) -> Result<ServeReport, FedError> {
@@ -203,11 +204,6 @@ pub fn serve_on(
             "the server needs at least one client slot".to_string(),
         ));
     }
-    if opts.initial_global.is_empty() {
-        return Err(FedError::InvalidConfig(
-            "the server needs a non-empty initial global model".to_string(),
-        ));
-    }
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?.to_string();
 
@@ -219,7 +215,7 @@ pub fn serve_on(
         opts.initial_global.clone(),
         policy,
         (0..opts.slots).collect(),
-    );
+    )?;
     let mut resumed_from = None;
     if let Some(path) = &opts.checkpoint {
         if path.exists() {
@@ -606,7 +602,7 @@ pub fn run_client<C: FederatedClient>(
         if write_frame(&mut stream, &Envelope::join_request(slot as u64).encode()).is_err() {
             continue 'sessions;
         }
-        let Ok(ack) = recv_frame(&mut stream, &mut reasm) else {
+        let Ok(ack) = read_frame(&mut stream, &mut reasm) else {
             continue 'sessions;
         };
         let env = Envelope::decode(&ack)?;
@@ -647,7 +643,7 @@ pub fn run_client<C: FederatedClient>(
             if write_frame(&mut stream, &frame).is_err() {
                 continue 'sessions;
             }
-            let Ok(reply) = recv_frame(&mut stream, &mut reasm) else {
+            let Ok(reply) = read_frame(&mut stream, &mut reasm) else {
                 continue 'sessions;
             };
             let env = Envelope::decode(&reply)?;
@@ -691,23 +687,5 @@ fn connect_retry(
                 std::thread::sleep(Duration::from_millis(50));
             }
         }
-    }
-}
-
-/// Receives one complete frame on the blocking client socket, retaining
-/// partial progress in `reasm` across reads.
-fn recv_frame(stream: &mut TcpStream, reasm: &mut FrameReassembler) -> std::io::Result<Vec<u8>> {
-    loop {
-        match reasm.next_frame() {
-            Ok(Some(frame)) => return Ok(frame),
-            Ok(None) => {}
-            Err(e) => return Err(std::io::Error::new(ErrorKind::InvalidData, e.to_string())),
-        }
-        let mut chunk = [0u8; 64 * 1024];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(ErrorKind::UnexpectedEof.into());
-        }
-        reasm.extend(&chunk[..n]);
     }
 }

@@ -208,6 +208,23 @@ impl ServerOpt {
             }
         }
     }
+
+    /// Checks this optimizer together with the FedAvgM momentum β it
+    /// commits beside: the [`ServerOpt::validate`] ranges, β ∈ [0, 1),
+    /// and β = 0 under FedAdam, which maintains its own moments.
+    pub(crate) fn validate_with_momentum(self, momentum: f32) -> Result<(), String> {
+        self.validate()?;
+        if !(0.0..1.0).contains(&momentum) {
+            return Err(format!("server_momentum must be in [0, 1), got {momentum}"));
+        }
+        if momentum != 0.0 && self.kind() == ServerOptKind::FedAdam {
+            return Err(format!(
+                "server_momentum is a FedAvg(M) setting and must be 0 under FedAdam \
+                 (FedAdam maintains its own moments), got {momentum}"
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// The commit stage of the two-stage aggregation pipeline: how the
@@ -253,40 +270,27 @@ impl Commit {
     ///
     /// # Panics
     ///
-    /// Panics when the hyperparameters fail [`ServerOpt::validate`], when
-    /// `momentum ∉ [0, 1)`, or when `momentum > 0` is combined with
-    /// FedAdam (`server_momentum` is a FedAvg(M) setting; FedAdam
-    /// maintains its own moments).
+    /// Panics when `opt` and `momentum` fail
+    /// [`ServerOpt::validate_with_momentum`].
     fn new(model_len: usize, momentum: f32, opt: ServerOpt) -> Self {
-        if let Err(msg) = opt.validate() {
+        if let Err(msg) = opt.validate_with_momentum(momentum) {
             panic!("{msg}");
         }
-        assert!(
-            (0.0..1.0).contains(&momentum),
-            "momentum must be in [0, 1), got {momentum}"
-        );
         match opt {
             ServerOpt::FedAdam {
                 lr,
                 beta1,
                 beta2,
                 eps,
-            } => {
-                assert!(
-                    momentum == 0.0,
-                    "server_momentum is a FedAvg(M) setting and must be 0 under FedAdam \
-                     (FedAdam maintains its own moments), got {momentum}"
-                );
-                Commit::Adam {
-                    lr,
-                    beta1,
-                    beta2,
-                    eps,
-                    t: 0,
-                    m: vec![0.0; model_len],
-                    v: vec![0.0; model_len],
-                }
-            }
+            } => Commit::Adam {
+                lr,
+                beta1,
+                beta2,
+                eps,
+                t: 0,
+                m: vec![0.0; model_len],
+                v: vec![0.0; model_len],
+            },
             ServerOpt::FedAvg | ServerOpt::FedProx { .. } => Commit::Avg {
                 momentum,
                 velocity: vec![0.0; model_len],
@@ -381,8 +385,10 @@ impl AggregationServer {
     ///
     /// # Panics
     ///
-    /// Panics if `initial` is empty, `momentum ∉ [0, 1)`, or the
-    /// optimizer hyperparameters fail [`ServerOpt::validate`].
+    /// Panics if `initial` is empty, `momentum ∉ [0, 1)`, `momentum > 0`
+    /// under FedAdam, or the optimizer hyperparameters fail
+    /// [`ServerOpt::validate`]. [`crate::RoundEngine::new`] returns these
+    /// as typed errors instead.
     pub fn with_optimizer(
         initial: Vec<f32>,
         strategy: AggregationStrategy,

@@ -2,7 +2,7 @@ use crate::error::FedError;
 use fedpower_wire::stream;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::time::Duration;
@@ -225,34 +225,6 @@ impl TcpTransport {
         stream.flush()
     }
 
-    /// Reads until the reassembler surfaces one whole frame. A timeout
-    /// (or any other error) mid-frame leaves the partial bytes buffered
-    /// in `reasm`, so the next call resumes where this one stopped —
-    /// the stream never desynchronizes.
-    fn recv_frame(
-        stream: &mut TcpStream,
-        reasm: &mut stream::FrameReassembler,
-    ) -> std::io::Result<Vec<u8>> {
-        loop {
-            match reasm.next_frame() {
-                Ok(Some(frame)) => return Ok(frame),
-                Ok(None) => {}
-                Err(e) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        e.to_string(),
-                    ))
-                }
-            }
-            let mut chunk = [0u8; 64 * 1024];
-            let n = stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(std::io::ErrorKind::UnexpectedEof.into());
-            }
-            reasm.extend(&chunk[..n]);
-        }
-    }
-
     fn hop(
         tx: &TcpStream,
         rx: &mut TcpStream,
@@ -264,7 +236,7 @@ impl TcpTransport {
         let mut tx = tx.try_clone()?;
         let frame = frame.to_vec();
         let writer = std::thread::spawn(move || TcpTransport::send_frame(&mut tx, &frame));
-        let received = TcpTransport::recv_frame(rx, reasm);
+        let received = stream::read_frame(rx, reasm);
         match writer.join() {
             Ok(Ok(())) => received,
             Ok(Err(e)) => Err(e),
@@ -405,7 +377,7 @@ mod tests {
         let mut tx = link.client_end.try_clone().unwrap();
         tx.write_all(&wire[..cut]).unwrap();
         tx.flush().unwrap();
-        let timed_out = TcpTransport::recv_frame(&mut link.server_end, &mut link.server_rx)
+        let timed_out = stream::read_frame(&mut link.server_end, &mut link.server_rx)
             .expect_err("only half a frame has arrived");
         assert!(
             matches!(
@@ -419,11 +391,9 @@ mod tests {
         second_wire.extend_from_slice(&second);
         tx.write_all(&second_wire).unwrap();
         tx.flush().unwrap();
-        let got_first =
-            TcpTransport::recv_frame(&mut link.server_end, &mut link.server_rx).unwrap();
+        let got_first = stream::read_frame(&mut link.server_end, &mut link.server_rx).unwrap();
         assert_eq!(got_first, first, "partial progress was retained");
-        let got_second =
-            TcpTransport::recv_frame(&mut link.server_end, &mut link.server_rx).unwrap();
+        let got_second = stream::read_frame(&mut link.server_end, &mut link.server_rx).unwrap();
         assert_eq!(got_second, second, "stream stayed in sync");
     }
 

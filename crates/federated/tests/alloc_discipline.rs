@@ -139,7 +139,8 @@ fn per_client_accounting_frames_do_not_allocate() {
         ..in_process
     };
     for (name, policy) in [("in-process", in_process), ("server", server)] {
-        let mut engine = RoundEngine::new(vec![0.0; 687], policy, (0..CLIENTS).collect());
+        let mut engine =
+            RoundEngine::new(vec![0.0; 687], policy, (0..CLIENTS).collect()).expect("valid policy");
         for client in 0..CLIENTS {
             engine.handle(
                 Frame::Join {

@@ -220,7 +220,8 @@ fn mid_round_disconnect_and_rejoin_matches_the_fault_plan_accounting() {
     let rec: &mut dyn Recorder = &mut replica_rec;
     let mut policy = EnginePolicy::from_config(&opts.config);
     policy.deadline_ticks = Some(1);
-    let mut engine = RoundEngine::new(opts.initial_global.clone(), policy, vec![0, 1]);
+    let mut engine =
+        RoundEngine::new(opts.initial_global.clone(), policy, vec![0, 1]).expect("valid policy");
     let join = |engine: &mut RoundEngine, rec: &mut dyn Recorder, slot: usize| {
         let ack = fedwire::encode_join_ack_at(engine.rounds_run(), slot, engine.global());
         engine.handle(

@@ -37,7 +37,7 @@
 //! tampered file fails [`Checkpoint::decode`]'s CRC before any field is
 //! trusted.
 
-use crate::{crc32, WireError};
+use crate::{crc32, encode_params, WireError};
 use std::io;
 use std::path::Path;
 
@@ -184,13 +184,6 @@ impl Checkpoint {
         let bytes = std::fs::read(path)?;
         Checkpoint::decode(&bytes)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-    }
-}
-
-fn encode_params(params: &[f32], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(params.len() as u32).to_le_bytes());
-    for p in params {
-        out.extend_from_slice(&p.to_le_bytes());
     }
 }
 

@@ -947,7 +947,9 @@ impl CodecScratch {
     }
 }
 
-fn encode_params(params: &[f32], out: &mut Vec<u8>) {
+/// Appends `params` as a `u32` count followed by little-endian `f32`s —
+/// the parameter layout frames and checkpoints share.
+pub(crate) fn encode_params(params: &[f32], out: &mut Vec<u8>) {
     out.extend_from_slice(&(params.len() as u32).to_le_bytes());
     for p in params {
         out.extend_from_slice(&p.to_le_bytes());

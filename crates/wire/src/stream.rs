@@ -10,9 +10,11 @@
 //! buffer — feed it every chunk the socket yields ([`FrameReassembler::extend`])
 //! and drain complete frames ([`FrameReassembler::next_frame`]); a read
 //! timeout between the two leaves the partial frame intact instead of
-//! desynchronizing the stream.
+//! desynchronizing the stream. [`read_frame`] runs that loop over a
+//! blocking reader.
 
 use crate::{WireError, FRAME_OVERHEAD, MAX_PAYLOAD_LEN};
+use std::io::{self, ErrorKind, Read};
 
 /// Size of the stream length prefix preceding each frame.
 pub const LENGTH_PREFIX_LEN: usize = 4;
@@ -86,6 +88,33 @@ impl FrameReassembler {
         let frame = self.buf[LENGTH_PREFIX_LEN..LENGTH_PREFIX_LEN + len].to_vec();
         self.buf.drain(..LENGTH_PREFIX_LEN + len);
         Ok(Some(frame))
+    }
+}
+
+/// Reads from `reader` until `reasm` surfaces one whole frame. A read
+/// error or timeout mid-frame leaves the partial bytes buffered in
+/// `reasm`, so the next call resumes where this one stopped and the
+/// stream never desynchronizes.
+///
+/// # Errors
+///
+/// The reader's own error; [`ErrorKind::UnexpectedEof`] when the peer
+/// closes the stream; [`ErrorKind::InvalidData`] when a length prefix is
+/// oversized ([`FrameReassembler::next_frame`]).
+pub fn read_frame(reader: &mut impl Read, reasm: &mut FrameReassembler) -> io::Result<Vec<u8>> {
+    loop {
+        if let Some(frame) = reasm
+            .next_frame()
+            .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))?
+        {
+            return Ok(frame);
+        }
+        let mut chunk = [0u8; 64 * 1024];
+        let n = reader.read(&mut chunk)?;
+        if n == 0 {
+            return Err(ErrorKind::UnexpectedEof.into());
+        }
+        reasm.extend(&chunk[..n]);
     }
 }
 
