@@ -218,18 +218,8 @@ impl PowerController {
     }
 
     /// Samples the next V/f level from already-computed reward estimates
-    /// `μ(s, ·, θ)` — the policy half of [`select_action_with`] without
-    /// the forward pass.
-    ///
-    /// This is the entry point for cross-client batched inference: a
-    /// caller that evaluated many agents' states through one batched
-    /// forward pass (`Mlp::forward_batch_with` over controllers sharing
-    /// bit-identical weights) hands each agent its own output row here.
-    /// Temperature and exploration draws come from `self`, so the sampled
-    /// action is bit-identical to the serial [`select_action_with`] path.
-    ///
-    /// [`select_action_with`]: PowerController::select_action_with
-    pub fn select_action_from_mu(&mut self, mu: &[f32], probs: &mut Vec<f64>) -> FreqLevel {
+    /// `μ(s, ·, θ)`: the policy half of [`PowerController::select_action_with`].
+    fn select_action_from_mu(&mut self, mu: &[f32], probs: &mut Vec<f64>) -> FreqLevel {
         let tau = self.temperature();
         FreqLevel(SoftmaxPolicy::sample_with(
             mu,

@@ -316,11 +316,9 @@ mod tests {
 
     #[test]
     fn run_steps_matches_a_manual_execute_loop_bitwise() {
-        // Licenses lockstep batching (`AgentClient::train_block_with`):
-        // interleaving decide → `execute` → observe by hand across many
-        // environments must reproduce `run_steps` trajectories exactly,
-        // so any caller-side loop with the same per-step sequence is
-        // bit-identical to the batched path.
+        // `run_steps` promises to be the caller-side loop: decide →
+        // `execute` → observe by hand, with decisions that read each
+        // observation, must reproduce its trajectory bit for bit.
         struct Cycle(u64);
         impl StepDriver for Cycle {
             fn decide(&mut self, obs: &StepObservation) -> FreqLevel {

@@ -59,4 +59,4 @@ pub use replay::{ReplayBuffer, ReplayScratch, Transition};
 pub use reward::RewardConfig;
 pub use state::{State, StateNorm};
 pub use td::{TdConfig, TdController, TdTransition};
-pub use workspace::{AgentWorkspace, BatchScratch};
+pub use workspace::AgentWorkspace;

@@ -9,7 +9,7 @@
 //! steady-state training performs zero heap allocations.
 
 use crate::replay::ReplayScratch;
-use fedpower_nn::{ForwardScratch, Matrix, TrainScratch};
+use fedpower_nn::{ForwardScratch, TrainScratch};
 
 /// Reusable scratch for [`crate::PowerController`] and
 /// [`crate::TdController`] hot-path methods (`select_action_with`,
@@ -29,8 +29,6 @@ pub struct AgentWorkspace {
     pub probs: Vec<f64>,
     /// Flat parameter staging (FedProx pull, TD target bootstrap).
     pub params: Vec<f32>,
-    /// Cross-client batched-inference staging (see [`BatchScratch`]).
-    pub batch: BatchScratch,
 }
 
 impl AgentWorkspace {
@@ -38,21 +36,4 @@ impl AgentWorkspace {
     pub fn new() -> Self {
         AgentWorkspace::default()
     }
-}
-
-/// Staging buffers for cross-client batched action selection: many
-/// agents' states stacked into one matrix for a single batched forward
-/// pass, and a flat copy of the resulting `μ` rows so per-agent sampling
-/// can proceed while the forward scratch is free for reuse.
-///
-/// Kept as its own struct so batching code can `std::mem::take` it out of
-/// the workspace (a pointer move, no allocation) and use it alongside the
-/// per-agent buffers without aliasing the whole workspace.
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    /// Stacked input states, one row per agent (`B × STATE_DIM`).
-    pub states: Matrix,
-    /// Flat copy of the batched forward output (`B × num_actions`,
-    /// row-major).
-    pub mu: Vec<f32>,
 }

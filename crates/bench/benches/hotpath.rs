@@ -11,10 +11,6 @@
 //!   [`DeviceEnv::run_steps`] with a trivial driver (no agent in the loop),
 //! * `eval_steps_per_sec` — greedy evaluation episodes through
 //!   `evaluate_on_app_with_mode` with the trace off,
-//! * `batched_select_actions_per_sec` — cross-client batched action
-//!   selection: 32 weight-sharing controllers answered by one
-//!   [`Mlp::forward_batch_with`] matmul plus per-controller softmax
-//!   sampling (the fleet lockstep fast path),
 //! * `fleet_clients_per_sec` — clients per second through one hierarchical
 //!   sharded round ([`fedpower_core::experiment::run_fleet`], 512 clients
 //!   over 8 shards),
@@ -36,8 +32,7 @@
 //!
 //! With `--baseline PATH` the run compares its throughput metrics
 //! (`train_steps_per_sec`, `round_steps_per_sec`, `env_steps_per_sec`,
-//! `eval_steps_per_sec`, `batched_select_actions_per_sec`,
-//! `fleet_clients_per_sec`, `fedadam_round_commits_per_sec`,
+//! `eval_steps_per_sec`, `fleet_clients_per_sec`, `fedadam_round_commits_per_sec`,
 //! `encode_decode_updates_per_sec`) and lower-is-better metrics
 //! (`ns_per_forward`, `ns_per_forward_simd`, `bytes_per_round_*` — each
 //! gated only when the baseline has it) against the baseline JSON and
@@ -47,10 +42,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use fedpower_agent::{
-    AgentWorkspace, ControllerConfig, DeviceEnv, DeviceEnvConfig, PowerController, State,
-    StepDriver, StepObservation,
-};
+use fedpower_agent::{ControllerConfig, DeviceEnv, DeviceEnvConfig, StepDriver, StepObservation};
 use fedpower_baselines::PerformanceGovernor;
 use fedpower_core::eval::{evaluate_on_app_with_mode, EvalOptions};
 use fedpower_core::experiment::run_fleet;
@@ -118,7 +110,6 @@ struct Results {
     round_steps_per_sec: f64,
     env_steps_per_sec: f64,
     eval_steps_per_sec: f64,
-    batched_select_actions_per_sec: f64,
     fleet_clients_per_sec: f64,
     fedadam_round_commits_per_sec: f64,
     bytes_per_round_dense: f64,
@@ -141,7 +132,7 @@ impl Results {
         format!(
             "{{\n  \"ns_per_forward\": {:.1},\n{simd_line}  \"train_steps_per_sec\": {:.1},\n  \
              \"round_steps_per_sec\": {:.1},\n  \"env_steps_per_sec\": {:.1},\n  \
-             \"eval_steps_per_sec\": {:.1},\n  \"batched_select_actions_per_sec\": {:.1},\n  \
+             \"eval_steps_per_sec\": {:.1},\n  \
              \"fleet_clients_per_sec\": {:.1},\n  \
              \"fedadam_round_commits_per_sec\": {:.1},\n  \
              \"bytes_per_round_dense\": {:.1},\n  \"bytes_per_round_q8\": {:.1},\n  \
@@ -153,7 +144,6 @@ impl Results {
             self.round_steps_per_sec,
             self.env_steps_per_sec,
             self.eval_steps_per_sec,
-            self.batched_select_actions_per_sec,
             self.fleet_clients_per_sec,
             self.fedadam_round_commits_per_sec,
             self.bytes_per_round_dense,
@@ -359,67 +349,6 @@ fn main() {
     });
     let eval_steps_per_sec = (eval_iters * eval_opts.steps) as f64 / eval_secs;
 
-    // Cross-client batched action selection: the fleet lockstep fast path
-    // answers a block of weight-sharing controllers with one batched
-    // matmul, then samples each controller's action from its μ row. The
-    // serial reference (one `select_action_with` per controller) runs
-    // first so the speedup is visible in the log.
-    const SELECT_BATCH: usize = 32;
-    eprintln!("measuring batched action selection ({SELECT_BATCH} weight-sharing controllers)...");
-    let num_actions = ControllerConfig::paper().num_actions;
-    let mut controllers: Vec<PowerController> = (0..SELECT_BATCH)
-        .map(|_| PowerController::new(ControllerConfig::paper(), 99))
-        .collect();
-    let states: Vec<State> = (0..SELECT_BATCH)
-        .map(|i| {
-            let mut f = [0.0_f32; 5];
-            for (j, v) in f.iter_mut().enumerate() {
-                *v = ((i * 5 + j) as f32 * 0.29).sin().abs();
-            }
-            State::from_features(f)
-        })
-        .collect();
-    let mut aws = AgentWorkspace::new();
-    let serial_pass = |controllers: &mut [PowerController], aws: &mut AgentWorkspace| {
-        for (c, s) in controllers.iter_mut().zip(&states) {
-            let action = c.select_action_with(s, aws);
-            std::hint::black_box(action.0);
-        }
-    };
-    let batched_pass = |controllers: &mut [PowerController], aws: &mut AgentWorkspace| {
-        let mut scratch = std::mem::take(&mut aws.batch);
-        scratch.states.reset(SELECT_BATCH, 5);
-        for (row, s) in states.iter().enumerate() {
-            scratch.states.row_mut(row).copy_from_slice(s.features());
-        }
-        {
-            let mu = controllers[0]
-                .network()
-                .forward_batch_with(&scratch.states, &mut aws.forward)
-                .expect("state rows match the network input width");
-            scratch.mu.clear();
-            scratch.mu.extend_from_slice(mu.as_slice());
-        }
-        for (i, c) in controllers.iter_mut().enumerate() {
-            let mu_row = &scratch.mu[i * num_actions..(i + 1) * num_actions];
-            let action = c.select_action_from_mu(mu_row, &mut aws.probs);
-            std::hint::black_box(action.0);
-        }
-        aws.batch = scratch;
-    };
-    // Warm both paths so scratch buffers reach steady-state capacity.
-    serial_pass(&mut controllers, &mut aws);
-    batched_pass(&mut controllers, &mut aws);
-    let (serial_iters, serial_secs) = measure(window, || serial_pass(&mut controllers, &mut aws));
-    let serial_select_per_sec = (serial_iters * SELECT_BATCH as u64) as f64 / serial_secs;
-    let (batch_iters, batch_secs) = measure(window, || batched_pass(&mut controllers, &mut aws));
-    let batched_select_actions_per_sec = (batch_iters * SELECT_BATCH as u64) as f64 / batch_secs;
-    eprintln!(
-        "selection: batched {batched_select_actions_per_sec:.0}/s vs serial \
-         {serial_select_per_sec:.0}/s ({:.2}x)",
-        batched_select_actions_per_sec / serial_select_per_sec
-    );
-
     eprintln!("measuring a hierarchical sharded round (512 clients, 8 shards)...");
     let fleet_spec = FleetSpec {
         clients: 512,
@@ -524,7 +453,6 @@ fn main() {
         round_steps_per_sec,
         env_steps_per_sec,
         eval_steps_per_sec,
-        batched_select_actions_per_sec,
         fleet_clients_per_sec,
         fedadam_round_commits_per_sec,
         bytes_per_round_dense,
@@ -548,7 +476,6 @@ fn main() {
             "round_steps_per_sec",
             "env_steps_per_sec",
             "eval_steps_per_sec",
-            "batched_select_actions_per_sec",
             "fleet_clients_per_sec",
             "fedadam_round_commits_per_sec",
             "encode_decode_updates_per_sec",

@@ -28,7 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use fedpower_core::ExperimentConfig;
+use fedpower_core::{ConfigError, ExperimentConfig};
 use fedpower_federated::{Codec, FaultScenario, ServerOpt, ServerOptKind, TransportKind};
 use fedpower_telemetry::SinkSpec;
 
@@ -146,32 +146,43 @@ impl BenchArgs {
         }
     }
 
-    /// Materializes the experiment configuration these arguments select.
-    pub fn config(&self) -> ExperimentConfig {
-        let mut cfg = if self.quick {
-            ExperimentConfig::smoke()
-        } else {
-            ExperimentConfig::paper()
-        };
+    /// Materializes the experiment configuration these arguments select,
+    /// checked by [`fedpower_core::ExperimentConfigBuilder::build`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ConfigError`] the flags violate, such as
+    /// `--rounds 0`.
+    pub fn try_config(&self) -> Result<ExperimentConfig, ConfigError> {
+        let mut b = ExperimentConfig::builder().quick(self.quick);
         if let Some(rounds) = self.rounds {
-            cfg.fedavg.rounds = rounds;
+            b = b.rounds(rounds);
         }
         if let Some(seed) = self.seed {
-            cfg.seed = seed;
+            b = b.seed(seed);
         }
         if let Some(faults) = self.faults {
-            cfg.fault_scenario = faults;
+            b = b.faults(faults);
         }
         if let Some(transport) = self.transport {
-            cfg.transport = transport;
+            b = b.transport(transport);
         }
         if let Some(kind) = self.optimizer {
-            cfg.fedavg.optimizer = ServerOpt::from_kind(kind);
+            b = b.optimizer(ServerOpt::from_kind(kind));
         }
         if let Some(codec) = self.codec {
-            cfg.fedavg.codec = codec;
+            b = b.codec(codec);
         }
-        cfg
+        b.build()
+    }
+
+    /// [`BenchArgs::try_config`], exiting with status 2 and the
+    /// builder's message on error.
+    pub fn config(&self) -> ExperimentConfig {
+        self.try_config().unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     }
 }
 
@@ -197,6 +208,12 @@ mod tests {
         assert_eq!(cfg.fedavg.rounds, 7);
         assert_eq!(cfg.seed, 9);
         assert!(cfg.eval_steps < ExperimentConfig::paper().eval_steps);
+    }
+
+    #[test]
+    fn invalid_flags_fail_config_validation() {
+        let args = parse(&["--quick", "--rounds", "0"]).unwrap();
+        assert_eq!(args.try_config(), Err(ConfigError::ZeroRounds));
     }
 
     #[test]

@@ -354,6 +354,7 @@ pub fn run_fleet_recorded(
             derive_seed(cfg.seed, streams::FAULTS),
         )
     });
+    #[allow(deprecated)]
     let fleet_cfg = FleetConfig {
         fedavg: cfg.fedavg,
         num_clients: spec.clients,

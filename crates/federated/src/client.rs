@@ -50,26 +50,6 @@ pub trait FederatedClient: Send {
         self.train_round_with(steps, &mut Self::Workspace::default());
     }
 
-    /// Trains a whole block of clients for `steps` local interactions
-    /// each, sharing one workspace.
-    ///
-    /// Semantically this **is** the serial loop — calling
-    /// [`FederatedClient::train_round_with`] on each client in order —
-    /// and the default implementation does exactly that. Implementations
-    /// may override it to batch work across clients (see
-    /// [`AgentClient`]'s lockstep action selection), but only when the
-    /// per-client results are bit-identical to the serial loop; the fleet
-    /// engine relies on that equivalence for its shard-count and
-    /// batch-size invariance.
-    fn train_block_with(clients: &mut [&mut Self], steps: u64, ws: &mut Self::Workspace)
-    where
-        Self: Sized,
-    {
-        for client in clients.iter_mut() {
-            client.train_round_with(steps, ws);
-        }
-    }
-
     /// Produces the model update to upload.
     fn upload(&mut self) -> ModelUpdate;
 
@@ -186,94 +166,6 @@ impl AgentClient {
     }
 }
 
-/// Whether two clients' controllers can share one batched forward pass
-/// *and* reach their next optimizer update simultaneously: equal
-/// hyperparameters, equal step counters (same temperature and same next
-/// train boundary), and bit-identical network weights.
-fn lockstep_compatible(a: &AgentClient, b: &AgentClient) -> bool {
-    a.agent.config() == b.agent.config()
-        && a.agent.steps() == b.agent.steps()
-        && a.agent.network() == b.agent.network()
-}
-
-/// Runs `window` lockstep steps across a group of weight-sharing clients:
-/// per step, one batched forward pass over every client's state, then the
-/// per-client sample → execute → observe sequence of [`TrainDriver`], in
-/// group order. Each client's trajectory (RNG draws, replay contents,
-/// environment evolution) is bit-identical to its serial
-/// [`DeviceEnv::run_steps`] run because no state is shared between
-/// clients and batched forward rows are bit-identical to single-row
-/// forwards (`fedpower-nn`'s kernels accumulate each output row
-/// independently in the same order).
-fn lockstep_window(group: &mut [&mut AgentClient], window: u64, ws: &mut AgentWorkspace) {
-    let rows = group.len();
-    let dim = group[0].last_obs.state.features().len();
-    let actions = group[0].agent.config().num_actions;
-    // Take the batch scratch out of the workspace (a pointer move) so the
-    // copied μ rows can outlive per-client borrows of the workspace.
-    let mut scratch = std::mem::take(&mut ws.batch);
-    for _ in 0..window {
-        scratch.states.reset(rows, dim);
-        for (row, client) in group.iter().enumerate() {
-            scratch
-                .states
-                .row_mut(row)
-                .copy_from_slice(client.last_obs.state.features());
-        }
-        {
-            let net = group[0].agent.network();
-            let mu = net
-                .forward_batch_with(&scratch.states, &mut ws.forward)
-                .expect("state rows match the network input width");
-            scratch.mu.clear();
-            scratch.mu.extend_from_slice(mu.as_slice());
-        }
-        for (i, client) in group.iter_mut().enumerate() {
-            let mu_row = &scratch.mu[i * actions..(i + 1) * actions];
-            let prev = client.last_obs.state;
-            let action = client.agent.select_action_from_mu(mu_row, &mut ws.probs);
-            let obs = client.env.execute(action);
-            let reward = client.agent.reward_for(&obs.counters);
-            client.agent.observe_with(&prev, action, reward, ws);
-            client.last_obs = obs;
-        }
-    }
-    ws.batch = scratch;
-}
-
-/// Trains a group of lockstep-compatible clients, batching action
-/// selection while their weights remain bit-identical. Weights diverge at
-/// the first optimizer update (each client trains on its own replay
-/// buffer), so lockstep windows run up to the shared update boundary and
-/// the remainder falls back to the serial per-client path.
-fn train_group_lockstep(group: &mut [&mut AgentClient], steps: u64, ws: &mut AgentWorkspace) {
-    let mut done = 0u64;
-    while done < steps {
-        let (interval, taken) = {
-            let agent = &group[0].agent;
-            (agent.config().optim_interval, agent.steps())
-        };
-        // Updates fire inside `observe` of the step that lands on the
-        // interval; decisions up to and including that step still see
-        // shared weights, so the window may include the update step.
-        let window = (steps - done).min(interval - taken % interval);
-        lockstep_window(group, window, ws);
-        done += window;
-        if done < steps {
-            let (first, rest) = group.split_first().expect("group is non-empty");
-            if !rest.iter().all(|c| lockstep_compatible(first, c)) {
-                break;
-            }
-        }
-    }
-    for client in group.iter_mut() {
-        if done < steps {
-            client.train_round_with(steps - done, ws);
-        }
-        client.samples_this_round = steps;
-    }
-}
-
 impl FederatedClient for AgentClient {
     type Workspace = AgentWorkspace;
 
@@ -291,31 +183,6 @@ impl FederatedClient for AgentClient {
         let (last, executed) = self.env.run_steps(steps, initial, &mut driver);
         self.last_obs = last;
         self.samples_this_round = executed;
-    }
-
-    /// Cross-client batched action selection: contiguous runs of clients
-    /// holding bit-identical weights (the common case in a fleet round,
-    /// where every materialized client just downloaded the same global
-    /// model) step their environments in lockstep, evaluating all their
-    /// reward predictions through one batched matmul per step. The
-    /// per-client results are bit-identical to the serial loop — see
-    /// `train_block_matches_serial_training_bitwise`.
-    fn train_block_with(clients: &mut [&mut Self], steps: u64, ws: &mut AgentWorkspace) {
-        let planner = crate::BatchPlanner::new(clients.len().max(1));
-        let mut start = 0;
-        while start < clients.len() {
-            let end = planner.group_end(start, clients.len(), |a, b| {
-                lockstep_compatible(clients[a], clients[b])
-            });
-            if end - start >= 2 && steps > 0 {
-                train_group_lockstep(&mut clients[start..end], steps, ws);
-            } else {
-                for client in &mut clients[start..end] {
-                    client.train_round_with(steps, ws);
-                }
-            }
-            start = end;
-        }
     }
 
     fn upload(&mut self) -> ModelUpdate {
@@ -436,110 +303,12 @@ mod tests {
         assert_send::<AgentClient>();
     }
 
-    /// Asserts two clients are in bit-identical post-training states:
-    /// parameters, counters, environment progress, and the observation
-    /// the next round resumes from.
-    fn assert_clients_bitwise_equal(a: &mut AgentClient, b: &mut AgentClient, ctx: &str) {
-        let ua = a.upload();
-        let ub = b.upload();
-        assert_eq!(ua.num_samples, ub.num_samples, "{ctx}: samples");
-        for (i, (x, y)) in ua.params.iter().zip(&ub.params).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: param {i}");
-        }
-        assert_eq!(a.agent().steps(), b.agent().steps(), "{ctx}: steps");
-        assert_eq!(a.agent().updates(), b.agent().updates(), "{ctx}: updates");
-        assert_eq!(
-            a.agent().replay().len(),
-            b.agent().replay().len(),
-            "{ctx}: replay"
-        );
-        assert_eq!(a.env().steps(), b.env().steps(), "{ctx}: env steps");
-        assert_eq!(
-            a.env().completed_apps(),
-            b.env().completed_apps(),
-            "{ctx}: completions"
-        );
-        for (x, y) in a
-            .last_obs
-            .state
-            .features()
-            .iter()
-            .zip(b.last_obs.state.features())
-        {
-            assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: resume state");
-        }
-    }
-
-    /// Builds a block of clients in the fleet-round shape: freshly
-    /// materialized, then (optionally) synced to one shared global model.
-    fn block(n: usize, synced: bool) -> Vec<AgentClient> {
-        let global = PowerController::new(ControllerConfig::paper(), 77).params();
-        (0..n)
-            .map(|id| {
-                let mut c = client(id, 11);
-                if synced {
-                    c.download(&global);
-                }
-                c
-            })
-            .collect()
-    }
-
     #[test]
-    fn train_block_matches_serial_training_bitwise() {
-        // 45 steps with H=20 covers both regimes: two lockstep windows
-        // (the optimizer update at step 20 diverges the weights) and the
-        // serial remainder.
-        for steps in [4, 45] {
-            let mut serial = block(5, true);
-            let mut ws = AgentWorkspace::default();
-            for c in &mut serial {
-                c.train_round_with(steps, &mut ws);
-            }
-
-            let mut batched = block(5, true);
-            let mut ws = AgentWorkspace::default();
-            let mut refs: Vec<&mut AgentClient> = batched.iter_mut().collect();
-            FederatedClient::train_block_with(&mut refs, steps, &mut ws);
-
-            for (i, (a, b)) in serial.iter_mut().zip(batched.iter_mut()).enumerate() {
-                assert_clients_bitwise_equal(a, b, &format!("steps {steps}, client {i}"));
-            }
-        }
-    }
-
-    #[test]
-    fn heterogeneous_blocks_still_match_serial_training() {
-        // Unsynced clients hold distinct per-id weights, so the planner
-        // degrades to singleton groups; results must still be serial.
-        let mut serial = block(3, false);
-        let mut ws = AgentWorkspace::default();
-        for c in &mut serial {
-            c.train_round_with(30, &mut ws);
-        }
-
-        let mut batched = block(3, false);
-        let mut ws = AgentWorkspace::default();
-        let mut refs: Vec<&mut AgentClient> = batched.iter_mut().collect();
-        FederatedClient::train_block_with(&mut refs, 30, &mut ws);
-
-        for (i, (a, b)) in serial.iter_mut().zip(batched.iter_mut()).enumerate() {
-            assert_clients_bitwise_equal(a, b, &format!("client {i}"));
-        }
-    }
-
-    #[test]
-    fn zero_step_blocks_reset_sample_counts() {
-        let mut clients = block(2, true);
-        for c in &mut clients {
-            c.train_round(10);
-        }
-        let mut ws = AgentWorkspace::default();
-        let mut refs: Vec<&mut AgentClient> = clients.iter_mut().collect();
-        FederatedClient::train_block_with(&mut refs, 0, &mut ws);
-        for c in &mut clients {
-            assert_eq!(c.upload().num_samples, 0);
-        }
+    fn zero_step_rounds_reset_sample_counts() {
+        let mut c = client(0, 6);
+        c.train_round(10);
+        c.train_round_with(0, &mut AgentWorkspace::default());
+        assert_eq!(c.upload().num_samples, 0);
     }
 
     #[test]

@@ -713,48 +713,37 @@ impl<C: FederatedClient> Federation<C> {
     ///
     /// With `parallel` enabled the active clients are trained on the
     /// federation's [`WorkerPool`] — bounded thread count regardless of
-    /// federation size. Each worker slot owns one persistent
+    /// federation size; without it, on a one-worker pool that trains them
+    /// in order on the calling thread. Each worker slot owns one persistent
     /// `C::Workspace`, reused across clients and rounds so the steady-state
-    /// training loop performs zero heap allocations; the serial path
-    /// reuses the first workspace the same way. Results are independent of
-    /// the worker count (the pool chunks deterministically and returns
-    /// outcomes in input order).
+    /// training loop performs zero heap allocations. Results are
+    /// independent of the worker count (the pool chunks deterministically
+    /// and returns outcomes in input order).
     fn train_active(&mut self, active: &[usize]) -> Vec<usize> {
         let steps = self.config.steps_per_round;
-        let mut panicked = Vec::new();
-        if self.config.parallel {
-            let mut is_active = vec![false; self.clients.len()];
-            for &i in active {
-                is_active[i] = true;
-            }
-            let work: Vec<(usize, &mut C)> = self
-                .clients
-                .iter_mut()
-                .enumerate()
-                .filter(|(i, _)| is_active[*i])
-                .collect();
-            let outcomes = self
-                .pool
-                .map_with(work, &mut self.workspaces, |(i, client), ws| {
-                    catch_unwind(AssertUnwindSafe(|| client.train_round_with(steps, ws)))
-                        .is_err()
-                        .then_some(i)
-                });
-            panicked = outcomes.into_iter().flatten().collect();
-            panicked.sort_unstable();
+        let pool = if self.config.parallel {
+            self.pool
         } else {
-            if self.workspaces.is_empty() {
-                self.workspaces.push(C::Workspace::default());
-            }
-            let ws = &mut self.workspaces[0];
-            for &i in active {
-                let client = &mut self.clients[i];
-                if catch_unwind(AssertUnwindSafe(|| client.train_round_with(steps, ws))).is_err() {
-                    panicked.push(i);
-                }
-            }
+            WorkerPool::new(1)
+        };
+        let mut is_active = vec![false; self.clients.len()];
+        for &i in active {
+            is_active[i] = true;
         }
-        panicked
+        let work: Vec<(usize, &mut C)> = self
+            .clients
+            .iter_mut()
+            .enumerate()
+            .filter(|(i, _)| is_active[*i])
+            .collect();
+        pool.map_with(work, &mut self.workspaces, |(i, client), ws| {
+            catch_unwind(AssertUnwindSafe(|| client.train_round_with(steps, ws)))
+                .is_err()
+                .then_some(i)
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Runs all `config.rounds` rounds, returning one report per round.

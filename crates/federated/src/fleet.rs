@@ -74,20 +74,14 @@ pub struct FleetConfig {
     /// clients is allowed — trailing shards are empty and merge as
     /// identities.
     pub shards: usize,
-    /// Clients processed per lockstep block inside a shard — the window
-    /// over which [`FederatedClient::train_block_with`] may batch
-    /// action-selection inference across clients. `1` processes clients
-    /// strictly serially. The committed round is bit-identical for every
-    /// value (`tests/fleet_determinism.rs` proves it); the knob only
-    /// trades per-block peak memory (one materialized client per slot)
-    /// against batched-matmul amortization.
+    /// Ignored: each shard worker trains its clients one at a time.
+    #[deprecated(since = "0.1.0", note = "ignored: fleet clients train one at a time")]
     pub batch: usize,
 }
 
 impl FleetConfig {
-    /// Default lockstep block width: wide enough to amortize weight
-    /// traffic across a cache-resident batch, small enough that a block
-    /// of materialized clients stays far below one shard's budget.
+    /// The value [`FleetConfig::batch`] used to default to; ignored.
+    #[deprecated(since = "0.1.0", note = "ignored: fleet clients train one at a time")]
     pub const DEFAULT_BATCH: usize = 32;
 }
 
@@ -143,8 +137,6 @@ struct ShardContext<'a, F: FleetClientFactory> {
     steps: u64,
     strategy: AggregationStrategy,
     max_upload_retries: u64,
-    /// Lockstep block width ([`FleetConfig::batch`]).
-    batch: usize,
     /// Upload codec for shard byte accounting.
     codec: wire::Codec,
 }
@@ -283,20 +275,6 @@ impl EdgeAggregator {
             }
             return;
         }
-        self.finish_client(ctx, id, client);
-    }
-
-    /// The post-training half of client processing — trained event,
-    /// client telemetry, upload, and in-flight fault realization — shared
-    /// by the serial ([`EdgeAggregator::process_client`]) and batched
-    /// ([`EdgeAggregator::process_block`]) paths.
-    fn finish_client<F: FleetClientFactory>(
-        &mut self,
-        ctx: &ShardContext<'_, F>,
-        id: usize,
-        mut client: F::Client,
-    ) {
-        let round = ctx.round;
         self.telemetry
             .event(Event::client_scoped(EventKind::ClientTrained, round, id));
         client.record_telemetry(round, &mut self.telemetry);
@@ -341,75 +319,11 @@ impl EdgeAggregator {
             Some(Fault::Crash { .. }) | None => self.deliver(id, update),
         }
     }
-
-    /// Processes a contiguous block of clients with batched training:
-    /// prepare every reachable client (materialize → download →
-    /// `begin_round`), train them all through
-    /// [`FederatedClient::train_block_with`], then emit each client's
-    /// events and upload in client-id order.
-    ///
-    /// The emitted stream is byte-identical to processing the block
-    /// serially: the preparation phase emits nothing, training emits
-    /// nothing, and the finish phase replays the exact per-client event
-    /// sequence in id order. A panic during batched training would poison
-    /// lockstep progress for the whole block, so the block is discarded
-    /// and every id reruns through the serial
-    /// [`EdgeAggregator::process_client`] path — materialization is pure
-    /// in `(id, round)`, making the rerun exact.
-    fn process_block<F: FleetClientFactory>(
-        &mut self,
-        ctx: &ShardContext<'_, F>,
-        ids: Range<usize>,
-        ws: &mut <F::Client as FederatedClient>::Workspace,
-    ) {
-        let round = ctx.round;
-        let mut prepared: Vec<(usize, Option<F::Client>)> = Vec::with_capacity(ids.len());
-        for id in ids.clone() {
-            if ctx.plan.is_offline(id, round) {
-                prepared.push((id, None));
-                continue;
-            }
-            let resume: &[f32] = ctx.ledger.get(&id).map_or(ctx.global, Vec::as_slice);
-            let mut client = ctx.factory.materialize(id, round);
-            client.download(resume);
-            client.begin_round(round);
-            prepared.push((id, Some(client)));
-        }
-        let mut online: Vec<&mut F::Client> = prepared
-            .iter_mut()
-            .filter_map(|(_, client)| client.as_mut())
-            .collect();
-        let trained = catch_unwind(AssertUnwindSafe(|| {
-            FederatedClient::train_block_with(&mut online, ctx.steps, ws)
-        }))
-        .is_ok();
-        if !trained {
-            drop(prepared);
-            for id in ids {
-                self.process_client(ctx, id, ws);
-            }
-            return;
-        }
-        for (id, client) in prepared {
-            match client {
-                None => {
-                    self.telemetry
-                        .event(Event::client_scoped(EventKind::ClientOffline, round, id))
-                }
-                Some(client) => {
-                    self.clients_processed += 1;
-                    self.finish_client(ctx, id, client);
-                }
-            }
-        }
-    }
 }
 
 /// Runs one shard: an edge aggregator over a contiguous client range,
-/// materializing clients lazily against the worker's persistent
-/// workspace. With a block width above one, clients are processed in
-/// lockstep blocks so compatible clients share batched action-selection
-/// inference; the reduced partial is bit-identical either way.
+/// materializing clients one at a time against the worker's persistent
+/// workspace.
 fn run_shard<F: FleetClientFactory>(
     ctx: &ShardContext<'_, F>,
     shard: usize,
@@ -418,17 +332,8 @@ fn run_shard<F: FleetClientFactory>(
 ) -> EdgeAggregator {
     let start = Instant::now();
     let mut edge = EdgeAggregator::new(ctx, shard);
-    if ctx.batch <= 1 {
-        for id in clients {
-            edge.process_client(ctx, id, ws);
-        }
-    } else {
-        let mut block_start = clients.start;
-        while block_start < clients.end {
-            let block_end = (block_start + ctx.batch).min(clients.end);
-            edge.process_block(ctx, block_start..block_end, ws);
-            block_start = block_end;
-        }
+    for id in clients {
+        edge.process_client(ctx, id, ws);
     }
     edge.secs = start.elapsed().as_secs_f64();
     edge
@@ -496,7 +401,7 @@ impl<F: FleetClientFactory> Fleet<F> {
     /// Returns [`FedError::UnsupportedInFleet`] when the aggregation
     /// strategy is a robust (buffering) combiner, and
     /// [`FedError::InvalidConfig`] when the fleet shape is degenerate
-    /// (zero clients, shards or batch slots), the federated settings are
+    /// (zero clients or shards), the federated settings are
     /// outside the sharded engine's domain (partial participation, update
     /// noise), or [`RoundEngine::new`] rejects the initial model or
     /// policy.
@@ -515,11 +420,6 @@ impl<F: FleetClientFactory> Fleet<F> {
         if config.shards == 0 {
             return Err(FedError::InvalidConfig(
                 "fleet needs at least one shard".to_string(),
-            ));
-        }
-        if config.batch == 0 {
-            return Err(FedError::InvalidConfig(
-                "fleet lockstep blocks need at least one slot (batch >= 1)".to_string(),
             ));
         }
         if fed.participation != 1.0 {
@@ -655,7 +555,6 @@ impl<F: FleetClientFactory> Fleet<F> {
             steps: self.config.fedavg.steps_per_round,
             strategy: self.config.fedavg.strategy,
             max_upload_retries: self.config.fedavg.max_upload_retries,
-            batch: self.config.batch,
             codec: self.config.fedavg.codec,
         };
         let fanout_start = Instant::now();
@@ -862,6 +761,7 @@ mod tests {
         }
     }
 
+    #[allow(deprecated)]
     fn fleet_config(num_clients: usize, shards: usize, rounds: u64) -> FleetConfig {
         FleetConfig {
             fedavg: FedAvgConfig {
@@ -955,6 +855,7 @@ mod tests {
         let invalid_everywhere = |rule: &str, config: FedAvgConfig, dim: usize| {
             let clients = (0..2).map(|id| StubClient::new(id, dim)).collect();
             let flat = Federation::builder(clients, config).build().err();
+            #[allow(deprecated)]
             let shape = FleetConfig {
                 fedavg: config,
                 num_clients: 2,
@@ -1027,76 +928,7 @@ mod tests {
     }
 
     #[test]
-    fn block_width_never_changes_the_round() {
-        let reference = {
-            let mut config = fleet_config(13, 3, 3);
-            config.batch = 1;
-            let mut fleet = Fleet::new(StubFactory { dim: 4 }, config).expect("constructs");
-            let reports = fleet.run();
-            (fleet.global_params().to_vec(), reports, *fleet.transport())
-        };
-        for batch in [2, 5, 13, 64] {
-            let mut config = fleet_config(13, 3, 3);
-            config.batch = batch;
-            let mut fleet = Fleet::new(StubFactory { dim: 4 }, config).expect("constructs");
-            let reports = fleet.run();
-            assert_eq!(
-                fleet.global_params(),
-                reference.0.as_slice(),
-                "batch {batch}"
-            );
-            assert_eq!(reports, reference.1, "batch {batch}");
-            assert_eq!(fleet.transport(), &reference.2, "batch {batch}");
-        }
-    }
-
-    #[test]
-    fn block_width_never_changes_the_round_under_chaos() {
-        let plan = FaultPlan::generate(&FaultConfig::chaos(), 9, 8, 33);
-        let run = |batch: usize| {
-            let mut config = fleet_config(9, 2, 8);
-            config.batch = batch;
-            let recorder = MemoryRecorder::new();
-            let mut fleet = Fleet::with_options(
-                StubFactory { dim: 4 },
-                config,
-                Some(&plan),
-                Box::new(recorder.clone()),
-            )
-            .expect("constructs");
-            let reports = fleet.run();
-            (
-                fleet.global_params().to_vec(),
-                reports,
-                *fleet.transport(),
-                recorder.events(),
-            )
-        };
-        let reference = run(1);
-        for batch in [3, 9, 64] {
-            let outcome = run(batch);
-            assert_eq!(outcome.0, reference.0, "batch {batch}: global");
-            assert_eq!(outcome.1, reference.1, "batch {batch}: reports");
-            assert_eq!(outcome.2, reference.2, "batch {batch}: transport");
-            assert_eq!(outcome.3, reference.3, "batch {batch}: event stream");
-        }
-    }
-
-    #[test]
-    fn zero_block_width_is_a_typed_error() {
-        let mut config = fleet_config(4, 2, 1);
-        config.batch = 0;
-        assert!(matches!(
-            Fleet::new(StubFactory { dim: 4 }, config),
-            Err(FedError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn panicking_block_training_falls_back_to_serial_semantics() {
-        // A client whose training panics must produce the serial path's
-        // exact outcome (TrainPanic event, others unaffected) even when
-        // it shares a lockstep block with healthy clients.
+    fn panicking_training_costs_only_that_client() {
         #[derive(Debug, Clone)]
         struct PanickyClient(StubClient);
 
@@ -1132,25 +964,89 @@ mod tests {
             }
         }
 
-        let run = |batch: usize| {
-            let mut config = fleet_config(5, 1, 2);
-            config.batch = batch;
-            let recorder = MemoryRecorder::new();
-            let mut fleet =
-                Fleet::with_options(PanickyFactory, config, None, Box::new(recorder.clone()))
-                    .expect("constructs");
-            let reports = fleet.run();
-            (
-                fleet.global_params().to_vec(),
-                reports,
-                recorder.events(),
-                recorder.count(EventKind::TrainPanic),
-            )
-        };
-        let serial = run(1);
-        assert_eq!(serial.3, 2, "one panic per round");
-        let batched = run(64);
-        assert_eq!(batched, serial, "fallback reproduces the serial round");
+        let recorder = MemoryRecorder::new();
+        let mut fleet = Fleet::with_options(
+            PanickyFactory,
+            fleet_config(5, 1, 2),
+            None,
+            Box::new(recorder.clone()),
+        )
+        .expect("constructs");
+        let reports = fleet.run();
+        assert_eq!(recorder.count(EventKind::TrainPanic), 2, "one per round");
+        for report in &reports {
+            assert_eq!(report.train_panics, 1, "round {}", report.round);
+            assert_eq!(
+                report.uploads_ok, 4,
+                "round {}: the others commit",
+                report.round
+            );
+            assert!(report.aggregated, "round {}", report.round);
+        }
+    }
+
+    #[test]
+    fn a_shard_worker_holds_one_client_at_a_time() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        use std::sync::Arc;
+
+        /// Clients alive now, and the most ever alive at once.
+        #[derive(Debug, Default)]
+        struct Live {
+            now: AtomicUsize,
+            peak: AtomicUsize,
+        }
+
+        #[derive(Debug)]
+        struct CountedClient(StubClient, Arc<Live>);
+
+        impl Drop for CountedClient {
+            fn drop(&mut self) {
+                self.1.now.fetch_sub(1, SeqCst);
+            }
+        }
+
+        impl FederatedClient for CountedClient {
+            type Workspace = ();
+
+            fn id(&self) -> usize {
+                self.0.id
+            }
+            fn train_round_with(&mut self, steps: u64, ws: &mut ()) {
+                self.0.train_round_with(steps, ws);
+            }
+            fn upload(&mut self) -> ModelUpdate {
+                self.0.upload()
+            }
+            fn download(&mut self, global: &[f32]) {
+                self.0.download(global);
+            }
+            fn transfer_bytes(&self) -> usize {
+                self.0.transfer_bytes()
+            }
+        }
+
+        struct CountingFactory(Arc<Live>);
+        impl FleetClientFactory for CountingFactory {
+            type Client = CountedClient;
+            fn initial_global(&self) -> Vec<f32> {
+                vec![0.0; 4]
+            }
+            fn materialize(&self, id: usize, _round: u64) -> CountedClient {
+                let now = self.0.now.fetch_add(1, SeqCst) + 1;
+                self.0.peak.fetch_max(now, SeqCst);
+                CountedClient(StubClient::new(id, 4), Arc::clone(&self.0))
+            }
+        }
+
+        let live = Arc::new(Live::default());
+        let mut fleet = Fleet::new(CountingFactory(Arc::clone(&live)), fleet_config(64, 2, 2))
+            .expect("constructs");
+        let reports = fleet.run();
+        assert!(reports.iter().all(|r| r.uploads_ok == 64));
+        assert_eq!(live.now.load(SeqCst), 0, "every client is dropped");
+        let peak = live.peak.load(SeqCst);
+        assert!(peak <= 2, "{peak} clients alive at once over 2 shards");
     }
 
     #[test]

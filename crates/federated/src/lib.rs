@@ -61,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod client;
 pub mod engine;
 mod error;
@@ -77,7 +76,6 @@ mod td_client;
 mod transport;
 pub mod wire;
 
-pub use batch::BatchPlanner;
 pub use client::{AgentClient, FederatedClient, ModelUpdate};
 pub use engine::{EnginePolicy, Frame, RoundEngine};
 pub use error::FedError;

@@ -192,6 +192,7 @@ fn flat_sparse_codec_chaos_stream_matches_pre_engine_golden() {
 
 #[test]
 fn fleet_chaos_stream_matches_pre_engine_golden() {
+    #[allow(deprecated)]
     let cfg = FleetConfig {
         fedavg: FedAvgConfig {
             rounds: 8,

@@ -48,6 +48,7 @@ fn fleet_run(
     rounds: u64,
     plan: Option<&FaultPlan>,
 ) -> (Vec<f32>, Vec<RoundReport>, TransportStats) {
+    #[allow(deprecated)]
     let config = FleetConfig {
         fedavg: fed_cfg(rounds),
         num_clients,
@@ -113,6 +114,7 @@ fn robust_combiners_under_sharding_fail_fast_with_a_typed_error() {
         AggregationStrategy::TrimmedMean { trim_each_side: 1 },
         AggregationStrategy::CoordinateMedian,
     ] {
+        #[allow(deprecated)]
         let mut config = FleetConfig {
             fedavg: fed_cfg(1),
             num_clients: 4,
@@ -145,6 +147,7 @@ fn explicit_fedavg_optimizer_matches_the_default_fleet_under_chaos() {
     assert!(!plan.is_empty());
     let default_run = fleet_run(8, 3, rounds, Some(&plan));
     let explicit_run = {
+        #[allow(deprecated)]
         let mut config = FleetConfig {
             fedavg: fed_cfg(rounds),
             num_clients: 8,
@@ -171,6 +174,7 @@ fn explicit_fedavg_optimizer_matches_the_default_fleet_under_chaos() {
 fn invalid_optimizer_configs_are_typed_fleet_errors() {
     use fedpower::federated::ServerOpt;
     let base = |optimizer| {
+        #[allow(deprecated)]
         let mut config = FleetConfig {
             fedavg: fed_cfg(1),
             num_clients: 2,
@@ -201,54 +205,4 @@ fn invalid_optimizer_configs_are_typed_fleet_errors() {
     conflicted.fedavg.server_momentum = 0.5;
     let err = Fleet::new(MathFleetFactory, conflicted).expect_err("momentum under FedAdam");
     assert!(err.to_string().contains("server_momentum"), "{err}");
-}
-
-/// Real simulated devices through the batched fleet path: cross-client
-/// lockstep action selection (`AgentClient::train_block_with`) must not
-/// change a single bit of the committed rounds relative to strictly
-/// serial client processing, including when the local step count crosses
-/// the optimizer-update boundary that diverges the shared weights.
-#[test]
-fn device_fleet_lockstep_batching_is_bit_identical_to_serial() {
-    use fedpower::core::experiment::DeviceFleetFactory;
-    use fedpower::core::ExperimentConfig;
-
-    let mut cfg = ExperimentConfig::smoke();
-    cfg.fedavg.rounds = 2;
-    // H = 20, so 25 steps covers one full lockstep window, the weight
-    // divergence at the update, and the serial remainder.
-    cfg.fedavg.steps_per_round = 25;
-
-    let run = |batch: usize| {
-        let config = FleetConfig {
-            fedavg: cfg.fedavg,
-            num_clients: 6,
-            shards: 2,
-            batch,
-        };
-        let mut fleet = Fleet::with_options(
-            DeviceFleetFactory::new(&cfg),
-            config,
-            None,
-            Box::new(NullRecorder),
-        )
-        .expect("device fleet constructs");
-        let reports = fleet.run();
-        (fleet.global_params().to_vec(), reports, *fleet.transport())
-    };
-
-    let serial = run(1);
-    for batch in [4, 32] {
-        let batched = run(batch);
-        assert_eq!(
-            serial.0.len(),
-            batched.0.len(),
-            "batch {batch}: model shape"
-        );
-        for (i, (a, b)) in serial.0.iter().zip(&batched.0).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "batch {batch}: param {i}");
-        }
-        assert_eq!(batched.1, serial.1, "batch {batch}: reports");
-        assert_eq!(batched.2, serial.2, "batch {batch}: transport");
-    }
 }

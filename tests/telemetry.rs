@@ -62,6 +62,7 @@ fn chaos_fleet_run(
     let mut cfg = FedAvgConfig::paper();
     cfg.rounds = rounds;
     cfg.steps_per_round = 1;
+    #[allow(deprecated)]
     let config = FleetConfig {
         fedavg: cfg,
         num_clients: 6,
