@@ -24,6 +24,21 @@
 //! The largest finite `f32` scales to about 2²⁷⁷; 384 bits therefore
 //! absorb more than 2¹⁰⁵ worst-case addends before the sign bit could be
 //! touched — far beyond any federation size this crate will ever see.
+//!
+//! # The window add
+//!
+//! A scaled `f32` is a 24-bit mantissa shifted left by at most 253 bits,
+//! so it lies inside one 128-bit window of two adjacent limbs, and the
+//! limbs above the window hold only its sign extension: all zeros for a
+//! positive value, all ones for a negative one, whose window holds the
+//! 128-bit two's complement. [`ExactSum::add`] therefore adds the window
+//! as one `u128`, then adds to every limb above it the sign extension
+//! plus the window's carry. All ones is −1 in each limb, so that is a net
+//! +1, 0 or −1 on the integer formed by the upper limbs, and the ripple
+//! stops at the first limb it does not wrap. Every step is addition
+//! modulo a power of two, so the limbs equal those of the full-width
+//! 384-bit add of the same addend — the unit tests keep that add as the
+//! oracle — and merges, readouts and equality see the same integer.
 
 /// Number of 64-bit limbs in the fixed-point representation.
 const LIMBS: usize = 6;
@@ -90,16 +105,35 @@ impl ExactSum {
         } else {
             (frac | 0x0080_0000, exp - 1)
         };
-        let mut addend = [0u64; LIMBS];
+        // shift ≤ 253, so the window is limbs `limb` and `limb + 1` ≤ 4, and
+        // `wide` holds ≤ 24 + 63 bits.
         let limb = (shift / 64) as usize;
-        let bit = shift % 64;
-        let wide = (mantissa as u128) << bit; // ≤ 24 + 63 bits, never overflows
-        addend[limb] = wide as u64;
-        addend[limb + 1] = (wide >> 64) as u64;
-        if bits >> 31 == 1 {
-            negate(&mut addend);
+        let wide = (mantissa as u128) << (shift % 64);
+        // All ones for a negative value, zero otherwise; `wide` is non-zero,
+        // so its 128-bit two's complement never carries out.
+        let sign = ((bits as i32) >> 31) as i128 as u128;
+        let addend = (wide ^ sign).wrapping_sub(sign);
+        let window = u128::from(self.limbs[limb]) | (u128::from(self.limbs[limb + 1]) << 64);
+        let (sum, carry) = window.overflowing_add(addend);
+        self.limbs[limb] = sum as u64;
+        self.limbs[limb + 1] = (sum >> 64) as u64;
+        // The limbs above receive the addend's sign extension (all ones,
+        // i.e. −1, when negative) plus the carry: a net +1, 0 or −1 as a
+        // u64. Branching on the net, not on the sign, keeps the common
+        // case (no change above the window) predictable.
+        let delta = u64::from(carry).wrapping_sub(u64::from(bits >> 31));
+        if delta != 0 {
+            // +1 wraps an all-ones limb, −1 a zero limb; the ripple stops
+            // at the first limb that does not wrap.
+            let wraps = if delta == 1 { u64::MAX } else { 0 };
+            for l in &mut self.limbs[limb + 2..] {
+                let old = *l;
+                *l = old.wrapping_add(delta);
+                if old != wraps {
+                    break;
+                }
+            }
         }
-        self.add_limbs(&addend);
     }
 
     /// Folds another exact sum into this one (integer addition, so the
@@ -161,6 +195,8 @@ fn negate(limbs: &mut [u64; LIMBS]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sum_of(values: &[f32]) -> ExactSum {
         let mut s = ExactSum::ZERO;
@@ -168,6 +204,79 @@ mod tests {
             s.add(v);
         }
         s
+    }
+
+    /// The oracle for [`ExactSum::add`]: build the whole 384-bit addend,
+    /// negate it for a negative value, and add it limb by limb.
+    fn full_width_add(s: &mut ExactSum, v: f32) {
+        if v == 0.0 || !v.is_finite() {
+            return;
+        }
+        let bits = v.to_bits();
+        let frac = bits & 0x007f_ffff;
+        let exp = (bits >> 23) & 0xff;
+        let (mantissa, shift) = if exp == 0 {
+            (frac, 0u32)
+        } else {
+            (frac | 0x0080_0000, exp - 1)
+        };
+        let mut addend = [0u64; LIMBS];
+        let limb = (shift / 64) as usize;
+        let wide = (mantissa as u128) << (shift % 64);
+        addend[limb] = wide as u64;
+        addend[limb + 1] = (wide >> 64) as u64;
+        if bits >> 31 == 1 {
+            negate(&mut addend);
+        }
+        s.add_limbs(&addend);
+    }
+
+    #[test]
+    fn window_add_matches_the_full_width_add_limb_for_limb() {
+        let mut rng = StdRng::seed_from_u64(0xe4ac_75e1);
+        for case in 0..48 {
+            let mut window = ExactSum::ZERO;
+            let mut oracle = ExactSum::ZERO;
+            let mut step = 0;
+            while step < 2_000 {
+                let run: Vec<f32> = match rng.random_range(0..4_u32) {
+                    // Arbitrary bit patterns: every exponent, both signs.
+                    0 => vec![f32::from_bits(rng.random::<u32>())],
+                    // Subnormals of either sign: the bottom limb.
+                    1 => vec![f32::from_bits(rng.random::<u32>() & 0x807f_ffff)],
+                    // A run of ±f32::MAX: the top window, and long borrow
+                    // chains when the sign flips the sum.
+                    2 => {
+                        let max = if rng.random::<bool>() {
+                            f32::MAX
+                        } else {
+                            f32::MIN
+                        };
+                        vec![max; rng.random_range(1..=40_usize)]
+                    }
+                    // Cancel the running sum to within its f32 rounding and
+                    // nudge it by the smallest subnormal either way, so it
+                    // crosses zero and carries or borrows through every limb.
+                    _ => {
+                        let back = (-oracle.to_f64()).clamp(f32::MIN as f64, f32::MAX as f64);
+                        let tiny = f32::from_bits(1);
+                        vec![back as f32, tiny, -tiny, -tiny, tiny]
+                    }
+                };
+                for v in run.into_iter().filter(|v| v.is_finite()) {
+                    window.add(v);
+                    full_width_add(&mut oracle, v);
+                    assert_eq!(
+                        window.limbs,
+                        oracle.limbs,
+                        "case {case}, step {step}: adding {v:e} ({:#010x})",
+                        v.to_bits()
+                    );
+                    step += 1;
+                }
+            }
+            assert_eq!(window.to_f64().to_bits(), oracle.to_f64().to_bits());
+        }
     }
 
     #[test]

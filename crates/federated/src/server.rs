@@ -589,9 +589,12 @@ enum AccMode {
     /// model committed from it — is bit-independent of admission order
     /// and of how the round was partitioned into shards.
     Streaming {
-        /// `Σ wᵢ·θᵢ` over admitted updates, with `wᵢ` the explicit
-        /// (staleness) weight.
-        weighted_sum: Vec<ExactSum>,
+        /// `Σ (wᵢ·θᵢ − θᵢ)` over the admitted updates whose explicit
+        /// (staleness) weight `wᵢ` is not 1, with `wᵢ·θᵢ` saturated to the
+        /// finite range, so that the unweighted sum plus this is `Σ wᵢ·θᵢ`
+        /// exactly. Empty until the first such update: a fault-free round
+        /// folds each upload once, into the unweighted sum.
+        correction: Vec<ExactSum>,
         /// `Σ wᵢ`.
         total_weight: ExactSum,
         /// `Σ nᵢ·θᵢ` (sample-weighted sum), kept only under
@@ -613,10 +616,10 @@ enum AccMode {
 /// Create with [`AggregationServer::accumulator`] (or standalone with
 /// [`RoundAccumulator::for_model`]), feed with
 /// [`RoundAccumulator::admit`], finish with [`AggregationServer::commit_round`].
-/// Besides the aggregate itself the accumulator tracks the per-coordinate
-/// first and second moments of the admitted models, from which
-/// [`RoundAccumulator::divergence`] derives the round's client-drift
-/// metric without buffering.
+/// The accumulator tracks the per-coordinate first and second moments of
+/// the admitted models, from which [`RoundAccumulator::divergence`]
+/// derives the round's client-drift metric without buffering; the first
+/// moment is also the mean strategies' sum.
 ///
 /// Streaming accumulators over the same multiset of admissions are
 /// *bit-identical* regardless of admission order, and
@@ -632,10 +635,11 @@ pub struct RoundAccumulator {
     all_unit: bool,
     admitted: usize,
     expected_len: usize,
-    /// Per-coordinate `Σ θᵢⱼ` (unweighted, for the divergence metric).
-    div_sum: Vec<ExactSum>,
+    /// Per-coordinate `Σ θᵢⱼ`, unweighted: the divergence metric's first
+    /// moment and, at unit weights, the streamed sum of the mean.
+    sum: Vec<ExactSum>,
     /// Per-coordinate `Σ θᵢⱼ²`.
-    div_sumsq: Vec<ExactSum>,
+    sumsq: Vec<ExactSum>,
 }
 
 impl RoundAccumulator {
@@ -650,13 +654,13 @@ impl RoundAccumulator {
     pub fn for_model(strategy: AggregationStrategy, expected_len: usize) -> Self {
         let mode = match strategy {
             AggregationStrategy::Uniform => AccMode::Streaming {
-                weighted_sum: vec![ExactSum::ZERO; expected_len],
+                correction: Vec::new(),
                 total_weight: ExactSum::ZERO,
                 samples_sum: None,
                 total_samples: 0,
             },
             AggregationStrategy::SampleWeighted => AccMode::Streaming {
-                weighted_sum: vec![ExactSum::ZERO; expected_len],
+                correction: Vec::new(),
                 total_weight: ExactSum::ZERO,
                 samples_sum: Some(vec![ExactSum::ZERO; expected_len]),
                 total_samples: 0,
@@ -677,8 +681,8 @@ impl RoundAccumulator {
             all_unit: true,
             admitted: 0,
             expected_len,
-            div_sum: vec![ExactSum::ZERO; expected_len],
-            div_sumsq: vec![ExactSum::ZERO; expected_len],
+            sum: vec![ExactSum::ZERO; expected_len],
+            sumsq: vec![ExactSum::ZERO; expected_len],
         }
     }
 
@@ -687,10 +691,17 @@ impl RoundAccumulator {
     ///
     /// # Errors
     ///
-    /// Returns [`FedError::CorruptUpdate`] naming the client and the first
-    /// violation — a shape that differs from the model's, or a non-finite
-    /// parameter — and leaves the accumulator untouched.
+    /// Returns [`FedError::InvalidConfig`] when `weight` is NaN, infinite
+    /// or negative (zero is legal: a staleness discount can underflow to
+    /// it), and [`FedError::CorruptUpdate`] naming the client and the
+    /// first violation — a shape that differs from the model's, or a
+    /// non-finite parameter. Either way the accumulator is left untouched.
     pub fn admit(&mut self, update: ModelUpdate, weight: f32) -> Result<(), FedError> {
+        if !(weight.is_finite() && weight >= 0.0) {
+            return Err(FedError::InvalidConfig(format!(
+                "update weight must be finite and non-negative, got {weight}"
+            )));
+        }
         if update.params.len() != self.expected_len {
             return Err(FedError::CorruptUpdate {
                 client_id: update.client_id,
@@ -707,12 +718,7 @@ impl RoundAccumulator {
                 reason: format!("non-finite value {} at index {i}", update.params[i]),
             });
         }
-        for ((s, q), &p) in self
-            .div_sum
-            .iter_mut()
-            .zip(&mut self.div_sumsq)
-            .zip(&update.params)
-        {
+        for ((s, q), &p) in self.sum.iter_mut().zip(&mut self.sumsq).zip(&update.params) {
             s.add(p);
             // p is finite (admission), but p² can overflow f32; saturate so
             // the drift moment degrades gracefully instead of poisoning the
@@ -723,13 +729,19 @@ impl RoundAccumulator {
         self.admitted += 1;
         match &mut self.mode {
             AccMode::Streaming {
-                weighted_sum,
+                correction,
                 total_weight,
                 samples_sum,
                 total_samples,
             } => {
-                for (acc, &p) in weighted_sum.iter_mut().zip(&update.params) {
-                    acc.add((weight * p).clamp(f32::MIN, f32::MAX));
+                if weight != 1.0 {
+                    if correction.is_empty() {
+                        correction.resize(update.params.len(), ExactSum::ZERO);
+                    }
+                    for (acc, &p) in correction.iter_mut().zip(&update.params) {
+                        acc.add((weight * p).clamp(f32::MIN, f32::MAX));
+                        acc.add(-p);
+                    }
                 }
                 total_weight.add(weight);
                 if let Some(sample_acc) = samples_sum {
@@ -784,20 +796,24 @@ impl RoundAccumulator {
         match (&mut self.mode, other.mode) {
             (
                 AccMode::Streaming {
-                    weighted_sum,
+                    correction,
                     total_weight,
                     samples_sum,
                     total_samples,
                 },
                 AccMode::Streaming {
-                    weighted_sum: other_sum,
+                    correction: other_correction,
                     total_weight: other_weight,
                     samples_sum: other_samples,
                     total_samples: other_count,
                 },
             ) => {
-                for (acc, s) in weighted_sum.iter_mut().zip(&other_sum) {
-                    acc.merge(s);
+                if correction.is_empty() {
+                    *correction = other_correction;
+                } else {
+                    for (acc, c) in correction.iter_mut().zip(&other_correction) {
+                        acc.merge(c);
+                    }
                 }
                 total_weight.merge(&other_weight);
                 if let (Some(acc), Some(s)) = (samples_sum.as_mut(), other_samples.as_ref()) {
@@ -813,10 +829,10 @@ impl RoundAccumulator {
                 })
             }
         }
-        for (a, b) in self.div_sum.iter_mut().zip(&other.div_sum) {
+        for (a, b) in self.sum.iter_mut().zip(&other.sum) {
             a.merge(b);
         }
-        for (a, b) in self.div_sumsq.iter_mut().zip(&other.div_sumsq) {
+        for (a, b) in self.sumsq.iter_mut().zip(&other.sumsq) {
             a.merge(b);
         }
         self.all_unit &= other.all_unit;
@@ -845,7 +861,7 @@ impl RoundAccumulator {
         }
         let m = self.admitted as f64;
         let mut total = 0.0_f64;
-        for (s, q) in self.div_sum.iter().zip(&self.div_sumsq) {
+        for (s, q) in self.sum.iter().zip(&self.sumsq) {
             let mean = s.to_f64() / m;
             // Catastrophic cancellation can take the variance a hair
             // negative; clamp rather than emit NaN.
@@ -862,7 +878,7 @@ impl RoundAccumulator {
         }
         match self.mode {
             AccMode::Streaming {
-                weighted_sum,
+                correction,
                 total_weight,
                 samples_sum,
                 total_samples,
@@ -874,9 +890,15 @@ impl RoundAccumulator {
                             "weights must sum to a positive finite value, got {total}"
                         )));
                     }
-                    return Ok(weighted_sum
-                        .iter()
-                        .map(|s| (s.to_f64() / total) as f32)
+                    // Σ wᵢ·θᵢ = Σ θᵢ + Σ (wᵢ·θᵢ − θᵢ), an exact integer sum.
+                    return Ok(self
+                        .sum
+                        .into_iter()
+                        .zip(&correction)
+                        .map(|(mut s, c)| {
+                            s.merge(c);
+                            (s.to_f64() / total) as f32
+                        })
                         .collect());
                 }
                 Ok(match (self.strategy, total_samples) {
@@ -888,10 +910,7 @@ impl RoundAccumulator {
                     // Uniform, or SampleWeighted's zero-sample fallback.
                     _ => {
                         let n = self.admitted as f64;
-                        weighted_sum
-                            .iter()
-                            .map(|s| (s.to_f64() / n) as f32)
-                            .collect()
+                        self.sum.iter().map(|s| (s.to_f64() / n) as f32).collect()
                     }
                 })
             }
@@ -1129,6 +1148,44 @@ mod tests {
             ));
             assert_eq!(server.global(), &[0.0], "failed rounds leave θ intact");
             assert_eq!(server.rounds_completed(), 0);
+        }
+    }
+
+    #[test]
+    fn admission_validates_the_weight() {
+        // Zero is legal (a staleness discount can underflow to it); a NaN,
+        // infinite or negative weight is refused before anything is folded.
+        for (weight, legal) in [
+            (f32::NAN, false),
+            (f32::INFINITY, false),
+            (f32::NEG_INFINITY, false),
+            (-1.0, false),
+            (0.0, true),
+        ] {
+            for strategy in [
+                AggregationStrategy::Uniform,
+                AggregationStrategy::TrimmedMean { trim_each_side: 0 },
+            ] {
+                let mut server = AggregationServer::new(vec![0.0; 3], strategy);
+                let mut acc = server.accumulator();
+                let verdict = acc.admit(update(0, vec![2.0; 3], 1), weight);
+                if legal {
+                    assert_eq!(verdict, Ok(()), "{strategy:?}, weight {weight}");
+                } else {
+                    assert!(
+                        matches!(&verdict, Err(FedError::InvalidConfig(m)) if m.contains("weight")),
+                        "{strategy:?}, weight {weight}: {verdict:?}"
+                    );
+                    assert_eq!(
+                        acc,
+                        server.accumulator(),
+                        "a refused weight leaves no trace"
+                    );
+                }
+                acc.admit(update(1, vec![4.0; 3], 1), 1.0).unwrap();
+                assert_eq!(acc.admitted(), if legal { 2 } else { 1 });
+                assert_eq!(server.commit_round(acc).unwrap(), &[4.0; 3]);
+            }
         }
     }
 

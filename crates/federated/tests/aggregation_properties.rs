@@ -92,16 +92,17 @@ proptest! {
     /// per-shard [`RoundAccumulator`]s and merging the partials — in
     /// forward order, reverse order, or as a pairwise tree — is
     /// **bit-identical** to admitting every update into one flat
-    /// accumulator, including the committed global, the admitted count,
-    /// and the divergence estimate. This is the associativity/commutativity
-    /// contract the hierarchical fleet topology is built on.
+    /// accumulator, including the accumulator state itself, the committed
+    /// global, the admitted count, and the divergence estimate. This is
+    /// the associativity/commutativity contract the hierarchical fleet
+    /// topology is built on.
     #[test]
     fn sharded_merge_is_bit_identical_to_the_flat_accumulator(
         (params, assignment, discounted, uniform) in (2_usize..10, 1_usize..8)
             .prop_flat_map(|(n, len)| (
                 models(n, len),
                 prop::collection::vec(0_usize..4, n..=n),
-                prop::collection::vec(0_usize..2, n..=n),
+                prop::collection::vec(0_usize..4, n..=n),
                 0_usize..2,
             )),
     ) {
@@ -117,10 +118,16 @@ proptest! {
             .map(|(i, p)| update(i, p.clone(), (i as u64 + 1) * 3))
             .collect();
         // Stale updates carry a discounted weight, exercising the
-        // weighted commit path alongside the unit-weight one.
+        // weighted commit path alongside the unit-weight one; zero is a
+        // discount that underflowed. Half the updates are fresh, so
+        // all-fresh rounds stay common.
         let weights: Vec<f32> = discounted
             .iter()
-            .map(|&d| if d == 1 { 0.5 } else { 1.0 })
+            .map(|&d| match d {
+                2 => 0.5,
+                3 => 0.0,
+                _ => 1.0,
+            })
             .collect();
 
         let fold = |indices: &[usize]| {
@@ -153,15 +160,17 @@ proptest! {
         tree.merge(right).expect("same shape and strategy");
 
         let reference = AggregationServer::new(vec![0.25; len], strategy);
+        // A round whose weights are all zero has no mean: every
+        // partition must refuse it alike.
         let commit = |acc: RoundAccumulator| {
             let mut server = reference.clone();
-            let global = server.commit_round(acc).expect("non-empty round").to_vec();
-            global
+            server.commit_round(acc).map(<[f32]>::to_vec)
         };
-        let expected_global = commit(fold(&(0..updates.len()).collect::<Vec<_>>()));
+        let expected_global = commit(flat.clone());
         let expected_divergence = flat.divergence();
         let expected_admitted = flat.admitted();
         for (label, acc) in [("forward", forward), ("reverse", reverse), ("tree", tree)] {
+            prop_assert_eq!(&acc, &flat, "{} accumulator state", label);
             prop_assert_eq!(acc.admitted(), expected_admitted, "{} admitted", label);
             prop_assert_eq!(
                 acc.divergence().to_bits(),
@@ -169,14 +178,18 @@ proptest! {
                 "{} divergence bits",
                 label
             );
-            let global = commit(acc);
-            for (i, (a, b)) in global.iter().zip(&expected_global).enumerate() {
-                prop_assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{} coordinate {} differs: {} vs {}",
-                    label, i, a, b
-                );
+            match (commit(acc), &expected_global) {
+                (Ok(global), Ok(expected)) => {
+                    for (i, (a, b)) in global.iter().zip(expected).enumerate() {
+                        prop_assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{} coordinate {} differs: {} vs {}",
+                            label, i, a, b
+                        );
+                    }
+                }
+                (got, expected) => prop_assert_eq!(&got, expected, "{} commit", label),
             }
         }
     }
