@@ -30,9 +30,9 @@ pub struct ModelUpdate {
 /// Training goes through [`FederatedClient::train_round_with`], which
 /// borrows a per-worker [`FederatedClient::Workspace`] so the steady-state
 /// hot path performs zero heap allocations. The [`crate::Federation`] owns
-/// one workspace per worker thread and reuses it across clients and rounds;
-/// [`FederatedClient::train_round`] is a convenience wrapper with throwaway
-/// scratch.
+/// one workspace and a [`crate::Fleet`] one per worker thread, each reused
+/// across clients and rounds; [`FederatedClient::train_round`] is a
+/// convenience wrapper with throwaway scratch.
 pub trait FederatedClient: Send {
     /// Reusable scratch borrowed during training. Clients whose training
     /// loop has no reusable buffers use `()`.

@@ -38,6 +38,15 @@ use crate::wire;
 use fedpower_telemetry::{Counter, Event, EventKind, Recorder};
 use std::collections::BTreeSet;
 
+/// Per-round decay applied to straggler updates: an update arriving `a`
+/// rounds late is admitted at weight `STALENESS_DECAY^a` relative to
+/// fresh ones.
+pub const STALENESS_DECAY: f32 = 0.5;
+
+/// Retries a driver grants a client whose upload was dropped in transit
+/// before abandoning it for the round.
+pub const MAX_UPLOAD_RETRIES: u64 = 2;
+
 /// The protocol-level configuration a [`RoundEngine`] enforces — the
 /// subset of [`FedAvgConfig`] that belongs to the server side of the
 /// wire, plus the netserver's deadline knob.
@@ -51,10 +60,6 @@ pub struct EnginePolicy {
     pub optimizer: ServerOpt,
     /// Fewest admitted updates required to commit a round.
     pub min_quorum: usize,
-    /// Per-round decay applied to straggler updates.
-    pub staleness_decay: f32,
-    /// Highest wire version admitted.
-    pub max_wire_version: u16,
     /// Upload codec (drives stale-update byte accounting and the
     /// reference-window bookkeeping).
     pub codec: wire::Codec,
@@ -74,38 +79,25 @@ impl EnginePolicy {
             server_momentum: cfg.server_momentum,
             optimizer: cfg.optimizer,
             min_quorum: cfg.min_quorum,
-            staleness_decay: cfg.staleness_decay,
-            max_wire_version: cfg.max_wire_version,
             codec: cfg.codec,
             deadline_ticks: None,
         }
     }
 
-    /// Checks every engine-side rule: staleness decay in (0, 1], a top-k
-    /// fraction in (0, 1], `max_wire_version` at least
-    /// [`wire::VERSION`], and the commit stage (the [`ServerOpt`] ranges,
-    /// server momentum in [0, 1), no momentum under FedAdam).
+    /// Checks every engine-side rule: a top-k fraction in (0, 1], and the
+    /// commit stage (the [`ServerOpt`] ranges, server momentum in
+    /// [0, 1), no momentum under FedAdam).
     ///
     /// # Errors
     ///
     /// [`FedError::InvalidConfig`] naming the first rule broken.
     pub fn validate(&self) -> Result<(), FedError> {
-        let invalid = |msg: String| Err(FedError::InvalidConfig(msg));
-        let decay = self.staleness_decay;
-        if !(decay > 0.0 && decay <= 1.0) {
-            return invalid(format!("staleness_decay must be in (0, 1], got {decay}"));
-        }
         if let wire::Codec::TopK { frac } = self.codec {
             if !(frac > 0.0 && frac <= 1.0) {
-                return invalid(format!("topk fraction must be in (0, 1], got {frac}"));
+                return Err(FedError::InvalidConfig(format!(
+                    "topk fraction must be in (0, 1], got {frac}"
+                )));
             }
-        }
-        if self.max_wire_version < wire::VERSION {
-            return invalid(format!(
-                "max_wire_version must be at least {}, got {}",
-                wire::VERSION,
-                self.max_wire_version
-            ));
         }
         self.optimizer
             .validate_with_momentum(self.server_momentum)
@@ -530,14 +522,11 @@ impl RoundEngine {
                 // version-negotiation and missing-reference failures
                 // land in the rejected branch.
                 let acc = self.acc.as_mut().expect("a round is open");
-                let admitted = match wire::decode_upload_with(
-                    &bytes,
-                    self.policy.max_wire_version,
-                    &self.reference,
-                ) {
-                    Ok((_, received)) => acc.admit(received, 1.0).is_ok(),
-                    Err(_) => false,
-                };
+                let admitted =
+                    match wire::decode_upload_with(&bytes, wire::CODEC_VERSION, &self.reference) {
+                        Ok((_, received)) => acc.admit(received, 1.0).is_ok(),
+                        Err(_) => false,
+                    };
                 let kind = if admitted {
                     EventKind::UploadAdmitted
                 } else {
@@ -575,7 +564,7 @@ impl RoundEngine {
                     bytes.len(),
                 ));
                 let decoded =
-                    wire::decode_upload_with(&bytes, self.policy.max_wire_version, &self.reference);
+                    wire::decode_upload_with(&bytes, wire::CODEC_VERSION, &self.reference);
                 self.admit_stale(client, decoded, out);
             }
             Frame::MergePartial { partial } => {
@@ -666,7 +655,7 @@ impl RoundEngine {
         let applied = match decoded {
             Ok((origin_round, update)) => {
                 let age = round.saturating_sub(origin_round).max(1);
-                let weight = self.policy.staleness_decay.powi(age as i32);
+                let weight = STALENESS_DECAY.powi(age as i32);
                 let ok = acc.admit(update, weight).is_ok();
                 if ok {
                     out.counter(Counter::new("stale_age", round, Some(id), age));
@@ -797,33 +786,49 @@ mod tests {
 
     #[test]
     fn stale_updates_are_discounted_and_counted() {
+        let stale = |eng: &mut RoundEngine, value: f32| {
+            let rec = feed(
+                eng,
+                Frame::StaleUpdate {
+                    client: 1,
+                    origin_round: 1,
+                    update: ModelUpdate {
+                        client_id: 1,
+                        params: vec![value; 4],
+                        num_samples: 10,
+                    },
+                },
+            );
+            assert_eq!(
+                kinds(&rec),
+                [EventKind::StaleReceived, EventKind::StaleApplied]
+            );
+            rec.counters()
+                .iter()
+                .find(|c| c.name == "stale_age")
+                .map(|c| c.value)
+        };
         let mut eng = engine(2);
         join(&mut eng, 0);
         eng.handle(Frame::BeginRound, &mut NullRecorder);
         eng.handle(Frame::EndRound, &mut NullRecorder);
         eng.handle(Frame::BeginRound, &mut NullRecorder);
-        let rec = feed(
-            &mut eng,
-            Frame::StaleUpdate {
-                client: 1,
-                origin_round: 1,
-                update: ModelUpdate {
-                    client_id: 1,
-                    params: vec![2.0; 4],
-                    num_samples: 10,
-                },
-            },
-        );
-        assert_eq!(
-            kinds(&rec),
-            [EventKind::StaleReceived, EventKind::StaleApplied]
-        );
-        let age = rec
-            .counters()
-            .iter()
-            .find(|c| c.name == "stale_age")
-            .map(|c| c.value);
-        assert_eq!(age, Some(1));
+        assert_eq!(stale(&mut eng, 2.0), Some(1));
+        eng.handle(Frame::CloseRound, &mut NullRecorder);
+        eng.handle(Frame::EndRound, &mut NullRecorder);
+        assert_eq!(eng.global(), &[2.0; 4], "a lone stale update is the mean");
+
+        // Round 3: a fresh 1.0 beside the round-1 update 11.0, two rounds
+        // late and so weighted STALENESS_DECAY²: (1 + 0.25·11) / 1.25 = 3.
+        eng.handle(Frame::BeginRound, &mut NullRecorder);
+        upload(&mut eng, 0, upload_frame(3, 0, vec![1.0; 4]));
+        assert_eq!(stale(&mut eng, 11.0), Some(2));
+        eng.handle(Frame::CloseRound, &mut NullRecorder);
+        let w = STALENESS_DECAY.powi(2);
+        let expected = (1.0 + w * 11.0) / (1.0 + w);
+        for &p in eng.global() {
+            assert!((p - expected).abs() < 1e-6, "age-2 weight: got {p}");
+        }
     }
 
     #[test]

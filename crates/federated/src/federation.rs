@@ -1,14 +1,13 @@
 use crate::client::FederatedClient;
-use crate::engine::{EnginePolicy, Frame, RoundEngine};
+use crate::engine::{EnginePolicy, Frame, RoundEngine, MAX_UPLOAD_RETRIES};
 use crate::error::FedError;
 use crate::fault::{FaultPlan, FaultyTransport};
-use crate::pool::WorkerPool;
 use crate::report::{RoundReport, Tee, TransportStats};
 use crate::server::{AggregationStrategy, ServerOpt};
 use crate::transport::{Transport, TransportKind};
 use crate::wire;
 use fedpower_sim::rng::{derive_rng, streams};
-use fedpower_telemetry::{Counter, NullRecorder, Recorder, Span};
+use fedpower_telemetry::{NullRecorder, Recorder, Span};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -31,38 +30,25 @@ pub struct FedAvgConfig {
     /// Standard deviation of Gaussian noise added to uploaded parameters —
     /// a differential-privacy-style knob (0 disables it; paper: 0).
     pub update_noise_sigma: f32,
-    /// Train participating clients on worker threads instead of serially.
-    pub parallel: bool,
     /// FedAvgM server momentum β (0 disables it; paper: 0).
     pub server_momentum: f32,
     /// Fewest admitted updates required to aggregate a round. When unmet,
     /// the round is skipped: θ stays unchanged and clients resume from the
     /// previous global model. Clamped to at least 1.
     pub min_quorum: usize,
-    /// Retries the server grants a client whose upload was dropped in
-    /// transit before abandoning it for the round.
-    pub max_upload_retries: u64,
-    /// Per-round decay applied to straggler updates: an update arriving
-    /// `a` rounds late is weighted `staleness_decay^a` relative to fresh
-    /// ones. Must be in (0, 1].
-    pub staleness_decay: f32,
     /// How the combined round aggregate commits into the global model
     /// (paper: plain FedAvg assignment).
     pub optimizer: ServerOpt,
     /// Upload codec clients encode their round updates with
     /// (paper: dense f32, bit-identical version-1 frames).
     pub codec: wire::Codec,
-    /// Highest wire version the server admits. Lowering it to
-    /// [`wire::VERSION`] models a v1 server: codec frames are rejected at
-    /// admission (`updates_rejected`) instead of decoded.
-    pub max_wire_version: u16,
 }
 
 impl FedAvgConfig {
     /// The paper's configuration (Table I): R = 100, T = 100, unweighted
     /// synchronous aggregation, full participation, no update noise, and
-    /// default resilience settings (quorum 1, two upload retries, stale
-    /// updates at half weight per round of age).
+    /// quorum 1. The retry budget and staleness decay are the engine's
+    /// [`MAX_UPLOAD_RETRIES`] and [`crate::engine::STALENESS_DECAY`].
     pub fn paper() -> Self {
         FedAvgConfig {
             rounds: 100,
@@ -70,14 +56,10 @@ impl FedAvgConfig {
             strategy: AggregationStrategy::Uniform,
             participation: 1.0,
             update_noise_sigma: 0.0,
-            parallel: false,
             server_momentum: 0.0,
             min_quorum: 1,
-            max_upload_retries: 2,
-            staleness_decay: 0.5,
             optimizer: ServerOpt::FedAvg,
             codec: wire::Codec::Dense32,
-            max_wire_version: wire::CODEC_VERSION,
         }
     }
 
@@ -112,8 +94,8 @@ impl Default for FedAvgConfig {
 /// only through bytes. Construction sends each client a join-ack frame
 /// carrying the initial global model θ₁ so everyone starts from identical
 /// parameters; each [`Federation::run_round`] then performs: local
-/// optimization (scoped worker pool when `parallel`) → framed uploads
-/// with admission → streaming aggregation → framed broadcast.
+/// optimization (clients in order) → framed uploads with admission →
+/// streaming aggregation → framed broadcast.
 ///
 /// Every round-lifecycle occurrence is emitted as a structured
 /// [`Event`](fedpower_telemetry::Event) through the installed [`Recorder`] (a zero-cost
@@ -132,8 +114,9 @@ pub struct Federation<C: FederatedClient> {
     transport: TransportStats,
     recorder: Box<dyn Recorder>,
     rng: StdRng,
-    pool: WorkerPool,
-    workspaces: Vec<C::Workspace>,
+    /// One training workspace, reused across clients and rounds so the
+    /// steady-state training loop performs zero heap allocations.
+    workspace: C::Workspace,
 }
 
 /// Staged construction of a [`Federation`], obtained from
@@ -274,8 +257,7 @@ impl<'p, C: FederatedClient> FederationBuilder<'p, C> {
             transport: TransportStats::new(),
             recorder: self.recorder,
             rng: derive_rng(self.seed, streams::FEDERATION),
-            pool: WorkerPool::default(),
-            workspaces: Vec::new(),
+            workspace: C::Workspace::default(),
         };
         for i in 0..fed.clients.len() {
             fed.join_client(i);
@@ -565,24 +547,6 @@ impl<C: FederatedClient> Federation<C> {
             }
         }
 
-        if self.config.parallel {
-            // WorkerPool dispatch shape, at round granularity: how many
-            // clients are fanned out over how many workers, in chunks of
-            // what size (the pool's deterministic contiguous split).
-            let workers = self.pool.workers() as u64;
-            let items = active.len() as u64;
-            self.recorder
-                .counter(Counter::new("pool_items", round, None, items));
-            self.recorder
-                .counter(Counter::new("pool_workers", round, None, workers));
-            self.recorder.counter(Counter::new(
-                "pool_chunk",
-                round,
-                None,
-                items.div_ceil(workers.max(1)),
-            ));
-        }
-
         let train_start = Instant::now();
         let panicked = self.train_active(&active);
         report.timing.train_s = train_start.elapsed().as_secs_f64();
@@ -616,7 +580,7 @@ impl<C: FederatedClient> Federation<C> {
                 let frame = wire::encode_upload_with(self.config.codec, round, &update, reference);
                 let mut sent = self.links[i].upload(&frame);
                 let mut retries = 0;
-                while retries < self.config.max_upload_retries
+                while retries < MAX_UPLOAD_RETRIES
                     && matches!(sent, Err(FedError::UploadDropped { .. }))
                 {
                     retries += 1;
@@ -707,43 +671,21 @@ impl<C: FederatedClient> Federation<C> {
         self.engine.handle(frame, &mut out);
     }
 
-    /// Trains the active participants, containing panics; returns the ids
-    /// whose training panicked (their state is suspect, so they are
-    /// excluded from this round's upload).
-    ///
-    /// With `parallel` enabled the active clients are trained on the
-    /// federation's [`WorkerPool`] — bounded thread count regardless of
-    /// federation size; without it, on a one-worker pool that trains them
-    /// in order on the calling thread. Each worker slot owns one persistent
-    /// `C::Workspace`, reused across clients and rounds so the steady-state
-    /// training loop performs zero heap allocations. Results are
-    /// independent of the worker count (the pool chunks deterministically
-    /// and returns outcomes in input order).
+    /// Trains the active participants in order on the federation's one
+    /// workspace, containing panics; returns the ids whose training
+    /// panicked (their state is suspect, so they are excluded from this
+    /// round's upload).
     fn train_active(&mut self, active: &[usize]) -> Vec<usize> {
         let steps = self.config.steps_per_round;
-        let pool = if self.config.parallel {
-            self.pool
-        } else {
-            WorkerPool::new(1)
-        };
-        let mut is_active = vec![false; self.clients.len()];
+        let mut panicked = Vec::new();
         for &i in active {
-            is_active[i] = true;
+            let client = &mut self.clients[i];
+            let ws = &mut self.workspace;
+            if catch_unwind(AssertUnwindSafe(|| client.train_round_with(steps, ws))).is_err() {
+                panicked.push(i);
+            }
         }
-        let work: Vec<(usize, &mut C)> = self
-            .clients
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| is_active[*i])
-            .collect();
-        pool.map_with(work, &mut self.workspaces, |(i, client), ws| {
-            catch_unwind(AssertUnwindSafe(|| client.train_round_with(steps, ws)))
-                .is_err()
-                .then_some(i)
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        panicked
     }
 
     /// Runs all `config.rounds` rounds, returning one report per round.
@@ -869,23 +811,6 @@ mod tests {
         assert_eq!(reports.len(), 5);
         assert_eq!(fed.rounds_run(), 5);
         assert_eq!(fed.clients()[0].trained_steps, 50);
-    }
-
-    #[test]
-    fn parallel_and_serial_rounds_agree() {
-        let serial = {
-            let mut fed = two_client_federation(FedAvgConfig::paper());
-            fed.run_round();
-            fed.global_params().to_vec()
-        };
-        let parallel = {
-            let mut config = FedAvgConfig::paper();
-            config.parallel = true;
-            let mut fed = two_client_federation(config);
-            fed.run_round();
-            fed.global_params().to_vec()
-        };
-        assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -1019,31 +944,27 @@ mod tests {
             }
         }
 
-        for parallel in [false, true] {
-            let mut config = FedAvgConfig::paper();
-            config.parallel = parallel;
-            let clients = vec![
-                Flaky {
-                    inner: FakeClient::new(0, 0.0),
-                    round: 0,
-                },
-                Flaky {
-                    inner: FakeClient::new(1, 0.0),
-                    round: 0,
-                },
-            ];
-            let mut fed = Federation::new(clients, config, 7);
-            let r1 = fed.run_round();
-            assert_eq!(r1.train_panics, 0);
-            let r2 = fed.run_round();
-            assert_eq!(r2.train_panics, 2, "both clients panic in round 2");
-            assert!(!r2.aggregated, "no survivors, so quorum is unmet");
-            let theta_after_r1 = fed.global_params().to_vec();
-            assert_eq!(fed.global_params(), theta_after_r1.as_slice());
-            let r3 = fed.run_round();
-            assert_eq!(r3.train_panics, 0, "clients recover in round 3");
-            assert!(r3.aggregated);
-        }
+        let clients = vec![
+            Flaky {
+                inner: FakeClient::new(0, 0.0),
+                round: 0,
+            },
+            Flaky {
+                inner: FakeClient::new(1, 0.0),
+                round: 0,
+            },
+        ];
+        let mut fed = Federation::new(clients, FedAvgConfig::paper(), 7);
+        let r1 = fed.run_round();
+        assert_eq!(r1.train_panics, 0);
+        let r2 = fed.run_round();
+        assert_eq!(r2.train_panics, 2, "both clients panic in round 2");
+        assert!(!r2.aggregated, "no survivors, so quorum is unmet");
+        let theta_after_r1 = fed.global_params().to_vec();
+        assert_eq!(fed.global_params(), theta_after_r1.as_slice());
+        let r3 = fed.run_round();
+        assert_eq!(r3.train_panics, 0, "clients recover in round 3");
+        assert!(r3.aggregated);
     }
 
     #[test]
@@ -1071,14 +992,6 @@ mod tests {
         assert_eq!(summary.uploads_ok, 8);
         assert_eq!(summary.uploads_dropped, 0);
         assert_eq!(summary.train_panics, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "staleness_decay")]
-    fn invalid_staleness_decay_panics() {
-        let mut config = FedAvgConfig::paper();
-        config.staleness_decay = 0.0;
-        let _ = Federation::new(vec![FakeClient::new(0, 0.0)], config, 0);
     }
 
     #[test]
@@ -1144,21 +1057,6 @@ mod tests {
             assert_eq!(report.updates_rejected, 0);
         }
         assert!(fed.global_params().iter().all(|p| p.is_finite()));
-    }
-
-    #[test]
-    fn v1_server_rejects_every_codec_upload_at_admission() {
-        let mut config = FedAvgConfig::paper();
-        config.codec = wire::Codec::Q8;
-        config.max_wire_version = wire::VERSION;
-        let mut fed = two_client_federation(config);
-        let before = fed.global_params().to_vec();
-        let report = fed.run_round();
-        // Both frames arrive, both fail version negotiation, and with
-        // nothing admitted the round misses quorum: θ is unchanged.
-        assert_eq!(report.updates_rejected, 2);
-        assert!(!report.aggregated);
-        assert_eq!(fed.global_params(), before.as_slice());
     }
 
     #[test]

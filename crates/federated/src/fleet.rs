@@ -44,7 +44,7 @@
 //! resumes from its round-start (not mid-panic) parameters.
 
 use crate::client::{FederatedClient, ModelUpdate};
-use crate::engine::{EnginePolicy, Frame, RoundEngine};
+use crate::engine::{EnginePolicy, Frame, RoundEngine, MAX_UPLOAD_RETRIES};
 use crate::error::FedError;
 use crate::fault::{Fault, FaultPlan};
 use crate::federation::FedAvgConfig;
@@ -136,7 +136,6 @@ struct ShardContext<'a, F: FleetClientFactory> {
     round: u64,
     steps: u64,
     strategy: AggregationStrategy,
-    max_upload_retries: u64,
     /// Upload codec for shard byte accounting.
     codec: wire::Codec,
 }
@@ -294,12 +293,11 @@ impl EdgeAggregator {
                 });
             }
             Some(Fault::UploadDrop { attempts }) => {
-                let budget = ctx.max_upload_retries;
-                for _ in 0..attempts.min(budget) {
+                for _ in 0..attempts.min(MAX_UPLOAD_RETRIES) {
                     self.telemetry
                         .event(Event::client_scoped(EventKind::UploadRetry, round, id));
                 }
-                if attempts <= budget {
+                if attempts <= MAX_UPLOAD_RETRIES {
                     self.deliver(id, update);
                 } else {
                     self.telemetry
@@ -554,7 +552,6 @@ impl<F: FleetClientFactory> Fleet<F> {
             round,
             steps: self.config.fedavg.steps_per_round,
             strategy: self.config.fedavg.strategy,
-            max_upload_retries: self.config.fedavg.max_upload_retries,
             codec: self.config.fedavg.codec,
         };
         let fanout_start = Instant::now();
@@ -874,14 +871,11 @@ mod tests {
             }
         };
         for (rule, config) in [
-            ("decay 0", with(|c| c.staleness_decay = 0.0)),
-            ("decay 2", with(|c| c.staleness_decay = 2.0)),
             (
                 "topk 0",
                 with(|c| c.codec = wire::Codec::TopK { frac: 0.0 }),
             ),
             ("momentum 1", with(|c| c.server_momentum = 1.0)),
-            ("wire version 0", with(|c| c.max_wire_version = 0)),
             ("fedadam lr", with(|c| c.optimizer = adam(-1.0, 0.9, 1e-3))),
             (
                 "fedadam beta",

@@ -22,10 +22,12 @@
 //! * [`AgentClient`] — a [`FederatedClient`] wrapping a power controller
 //!   and its simulated device,
 //! * [`Federation`] — round orchestration (`R` rounds × `T` local steps),
-//!   serial or thread-parallel, with optional partial participation and
-//!   Gaussian update noise (differential-privacy-style knob); resilient to
-//!   client faults via minimum-quorum aggregation, bounded upload retries,
-//!   staleness-discounted straggler updates, and NaN/shape admission,
+//!   training its clients in order, with optional partial participation
+//!   and Gaussian update noise (differential-privacy-style knob); resilient
+//!   to client faults via minimum-quorum aggregation, bounded upload
+//!   retries ([`engine::MAX_UPLOAD_RETRIES`]), staleness-discounted
+//!   straggler updates ([`engine::STALENESS_DECAY`]), and NaN/shape
+//!   admission,
 //! * [`Fleet`] — hierarchical (sharded) cross-device orchestration: each
 //!   edge aggregator reduces a shard of lazily materialized clients
 //!   into an exact partial sum ([`ExactSum`] arithmetic), and the merged

@@ -15,7 +15,9 @@
 //! Frames on the wire are `fedpower-wire` envelopes behind the stream
 //! length prefix ([`fedpower_wire::stream`]):
 //!
-//! 1. A client connects and sends a join request naming its slot.
+//! 1. A client connects and sends a join request naming its slot. A
+//!    request for a slot another connection holds is refused by closing
+//!    the newcomer.
 //! 2. The server replies with a join ack carrying `(rounds_completed, θ)`
 //!    — a freshly started experiment acks round 0, a restarted server
 //!    acks wherever its checkpoint left off.
@@ -75,7 +77,8 @@ pub struct ServeOptions {
     /// the bound address is echoed through [`ServeReport::addr`]).
     pub addr: String,
     /// Client slots: clients identify as `0..slots` in their join
-    /// requests; anything else is refused.
+    /// requests; anything else, or a slot another connection holds, is
+    /// refused.
     pub slots: usize,
     /// Total rounds to run (absolute — a resumed server counts the
     /// checkpointed rounds toward this target).
@@ -415,7 +418,10 @@ fn handle_frame(
     match env.kind() {
         MsgKind::JoinRequest => {
             let slot = env.client_id as usize;
-            if slot >= engine.client_count() {
+            // A slot held by a live connection is not up for grabs: the
+            // newcomer is closed before any ack or engine frame. A client
+            // reconnecting before its old connection was reaped retries.
+            if slot >= engine.client_count() || engine.joined(slot) {
                 return false;
             }
             conn.slot = Some(slot);

@@ -1,5 +1,5 @@
-//! A deterministic scoped worker pool shared by the federation's round
-//! engine and the bench sweeps.
+//! A deterministic scoped worker pool shared by the sharded fleet and the
+//! bench sweeps.
 //!
 //! The pool maps a function over owned items on `std::thread::scope`
 //! threads, chunking items deterministically (contiguous chunks of
@@ -7,10 +7,10 @@
 //! and any run with the same inputs produces bit-identical outputs
 //! regardless of worker count or interleaving.
 //!
-//! [`WorkerPool::map_with`] additionally threads one persistent scratch
-//! value per worker slot through every call — this is how each federated
-//! worker keeps a single [`fedpower_agent::AgentWorkspace`] warm across
-//! clients and rounds.
+//! [`WorkerPool::map_with_setup`] additionally threads one persistent
+//! scratch value per worker slot through every call — this is how each
+//! fleet shard worker keeps a single [`fedpower_agent::AgentWorkspace`]
+//! warm across clients and rounds.
 
 use std::num::NonZeroUsize;
 
@@ -19,7 +19,7 @@ use std::num::NonZeroUsize;
 /// The pool owns no threads: each call spawns scoped threads and joins
 /// them before returning, so borrowing local data is safe and no state
 /// leaks between calls (except the explicit per-worker scratch of
-/// [`WorkerPool::map_with`]).
+/// [`WorkerPool::map_with_setup`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerPool {
     workers: usize,
@@ -58,37 +58,20 @@ impl WorkerPool {
         F: Fn(I) -> R + Sync,
     {
         let mut scratch: Vec<()> = Vec::new();
-        self.map_with(items, &mut scratch, |item, ()| f(item))
+        self.map_with_setup(items, &mut scratch, || (), |item, ()| f(item))
     }
 
     /// [`WorkerPool::map`] threading one persistent per-worker scratch
-    /// value through the closure. `scratch` is grown with `W::default()`
-    /// to one entry per worker slot and retained across calls, so buffers
-    /// warmed in one round stay warm for the next.
+    /// value through the closure. `scratch` is grown by calling `setup` to
+    /// one entry per worker slot and retained across calls, so buffers
+    /// warmed in one round stay warm for the next; existing slots are
+    /// never re-initialized. This is how fleet shards share one training
+    /// workspace per worker while materializing their clients lazily.
     ///
     /// Worker `w` processes the contiguous chunk
     /// `items[w·ceil(n/workers) ..]` with `scratch[w]` — the mapping from
     /// item to scratch slot is deterministic, but results must not depend
     /// on *which* scratch processes an item (scratch is scratch).
-    pub fn map_with<I, W, R, F>(&self, items: Vec<I>, scratch: &mut Vec<W>, f: F) -> Vec<R>
-    where
-        I: Send,
-        W: Default + Send,
-        R: Send,
-        F: Fn(I, &mut W) -> R + Sync,
-    {
-        self.map_with_setup(items, scratch, W::default, f)
-    }
-
-    /// [`WorkerPool::map_with`] for scratch types without a useful
-    /// `Default`: missing per-worker slots are created by calling `setup`
-    /// instead. This is how fleet shards share one pre-built training
-    /// workspace per worker while materializing their clients lazily —
-    /// the workspace construction can depend on configuration the
-    /// `Default` impl cannot see.
-    ///
-    /// Existing slots are never re-initialized; like
-    /// [`WorkerPool::map_with`], warmed scratch persists across calls.
     pub fn map_with_setup<I, W, R, S, F>(
         &self,
         items: Vec<I>,
@@ -186,26 +169,6 @@ mod tests {
                 WorkerPool::new(workers).map((0..100).collect(), |x: u64| x.wrapping_mul(0x9E37));
             assert_eq!(serial, par);
         }
-    }
-
-    #[test]
-    fn map_with_persists_scratch_across_calls() {
-        let pool = WorkerPool::new(3);
-        let mut scratch: Vec<Vec<u8>> = Vec::new();
-        pool.map_with((0..9).collect(), &mut scratch, |x: usize, buf| {
-            buf.push(x as u8);
-            x
-        });
-        assert_eq!(scratch.len(), 3, "one scratch slot per worker");
-        let filled: usize = scratch.iter().map(Vec::len).sum();
-        assert_eq!(filled, 9, "every item touched exactly one scratch");
-        // Second call reuses the same slots.
-        pool.map_with((0..3).collect(), &mut scratch, |x: usize, buf| {
-            buf.push(x as u8);
-            x
-        });
-        let filled: usize = scratch.iter().map(Vec::len).sum();
-        assert_eq!(filled, 12);
     }
 
     #[test]

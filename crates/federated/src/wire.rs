@@ -184,10 +184,10 @@ pub fn encode_upload_with(
 /// the entire aggregation stack (streaming accumulators, robust
 /// combiners, server optimizers, fleet merges) stays codec-agnostic.
 ///
-/// `max_version` is the server's negotiation bound: a version-1 server
-/// passes [`VERSION`] and every codec frame surfaces as
-/// [`FedError::Wire`] with [`WireError::UnsupportedVersion`], which the
-/// round loop accounts as a rejected update.
+/// `max_version` is the negotiation bound. The round engine passes
+/// [`CODEC_VERSION`]; a version-1 decoder passes [`VERSION`], and every
+/// codec frame then surfaces as [`FedError::Wire`] with
+/// [`WireError::UnsupportedVersion`].
 ///
 /// # Errors
 ///

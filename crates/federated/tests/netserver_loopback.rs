@@ -336,6 +336,63 @@ fn mid_round_disconnect_and_rejoin_matches_the_fault_plan_accounting() {
     );
 }
 
+/// A second connection claiming a slot a live connection holds is closed
+/// before any ack: the holder keeps its slot and its broadcasts, and the
+/// slot joins exactly once.
+#[test]
+fn a_join_for_a_held_slot_is_refused() {
+    let dim = 4;
+    let (listener, addr) = bind();
+    let opts = ServeOptions::new(2, small_config(2), vec![0.25; dim]);
+    let recorder = MemoryRecorder::new();
+    let server = {
+        let opts = opts.clone();
+        let mut rec = recorder.clone();
+        thread::spawn(move || serve_on(listener, &opts, &mut rec).expect("serve"))
+    };
+    let frame = |client: usize, round: u64| {
+        let update = ModelUpdate {
+            client_id: client,
+            params: vec![round as f32 + client as f32; dim],
+            num_samples: 20,
+        };
+        fedwire::encode_upload_with(Codec::Dense32, round, &update, None)
+    };
+
+    let (mut holder, _) = Scripted::join(&addr, 0);
+    let (mut other, _) = Scripted::join(&addr, 1);
+    settle();
+    let mut intruder = TcpStream::connect(&addr).expect("connect");
+    intruder
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    intruder
+        .write_all(&prefix_frame(&Envelope::join_request(0).encode()))
+        .expect("send");
+    let mut byte = [0u8; 1];
+    assert!(
+        matches!(intruder.read(&mut byte), Ok(0)),
+        "the intruder must read EOF, not a join ack"
+    );
+    drop(intruder);
+    settle();
+
+    for round in 1..=2 {
+        holder.send(&frame(0, round));
+        other.send(&frame(1, round));
+        assert_eq!(holder.recv().round, round, "the holder keeps its slot");
+        assert_eq!(other.recv().round, round);
+    }
+    let report = server.join().unwrap();
+    assert_eq!(report.rounds_committed, 2);
+    let slot0_joins = recorder
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::ClientJoined && e.client == Some(0))
+        .count();
+    assert_eq!(slot0_joins, 1, "slot 0 joins once");
+}
+
 /// Kill-and-resume (ISSUE-10 acceptance): a server halted after round 2
 /// restarts from its checkpoint and the remaining rounds are
 /// byte-identical to an uninterrupted run — clients re-submit their

@@ -96,33 +96,30 @@ fn explicit_fedavg_optimizer_matches_the_default_under_chaos() {
 }
 
 /// The reward series, transport accounting, and final policy are
-/// bit-identical across (serial, parallel) × (channel, TCP): the worker
-/// pool and both byte transports are pure plumbing around the same math.
+/// bit-identical across the channel and TCP transports: both byte
+/// transports are pure plumbing around the same math.
 #[test]
 fn engine_variants_are_bit_identical() {
     let scenario = &table2_scenarios()[0];
     let mut baseline = None;
-    for parallel in [false, true] {
-        for transport in [TransportKind::Channel, TransportKind::Tcp] {
-            let mut cfg = tiny();
-            cfg.fedavg.parallel = parallel;
-            cfg.transport = transport;
-            let out = run_federated(scenario, &cfg);
-            match &baseline {
-                None => baseline = Some(out),
-                Some(base) => {
-                    assert_eq!(
-                        base.agents[0].params(),
-                        out.agents[0].params(),
-                        "parallel={parallel} transport={transport} diverged"
-                    );
-                    assert_eq!(
-                        base.series, out.series,
-                        "reward series must be bit-identical"
-                    );
-                    assert_eq!(base.transport, out.transport);
-                    assert_eq!(base.reports, out.reports);
-                }
+    for transport in [TransportKind::Channel, TransportKind::Tcp] {
+        let mut cfg = tiny();
+        cfg.transport = transport;
+        let out = run_federated(scenario, &cfg);
+        match &baseline {
+            None => baseline = Some(out),
+            Some(base) => {
+                assert_eq!(
+                    base.agents[0].params(),
+                    out.agents[0].params(),
+                    "transport={transport} diverged"
+                );
+                assert_eq!(
+                    base.series, out.series,
+                    "reward series must be bit-identical"
+                );
+                assert_eq!(base.transport, out.transport);
+                assert_eq!(base.reports, out.reports);
             }
         }
     }

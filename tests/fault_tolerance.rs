@@ -11,6 +11,7 @@
 mod common;
 
 use common::MathClient;
+use fedpower::federated::engine::MAX_UPLOAD_RETRIES;
 use fedpower::federated::report::FaultSummary;
 use fedpower::federated::{
     AggregationServer, AggregationStrategy, CorruptionKind, Fault, FaultConfig, FaultPlan,
@@ -196,7 +197,7 @@ impl FederatedClient for ScriptClient {
 }
 
 /// (d) A straggler's update surfaces after its delay and is applied with
-/// weight `staleness_decay^age` relative to the round's fresh updates.
+/// weight `STALENESS_DECAY^age` relative to the round's fresh updates.
 #[test]
 fn straggler_updates_arrive_late_with_discounted_weight() {
     let mut plan = FaultPlan::none();
@@ -208,9 +209,7 @@ fn straggler_updates_arrive_late_with_discounted_weight() {
             global: vec![],
         })
         .collect();
-    let mut cfg = config(2);
-    cfg.staleness_decay = 0.5;
-    let mut fed = faulted(clients, &plan, cfg, 5);
+    let mut fed = faulted(clients, &plan, config(2), 5);
 
     // Round 1: client 1 straggles; only client 0's upload (value 1) lands.
     let r1 = fed.run_round();
@@ -301,7 +300,6 @@ fn lossy_run_with_straggler_accounts_for_every_fault() {
     plan.insert(2, 5, Fault::Straggle { delay_rounds: 2 });
 
     let cfg = config(rounds);
-    let max_retries = cfg.max_upload_retries;
 
     // Expected totals, derived straight from the plan.
     let mut expected_retries = 0;
@@ -310,8 +308,8 @@ fn lossy_run_with_straggler_accounts_for_every_fault() {
     for (_, _, fault) in plan.iter() {
         match fault {
             Fault::UploadDrop { attempts } => {
-                expected_retries += attempts.min(max_retries);
-                if attempts > max_retries {
+                expected_retries += attempts.min(MAX_UPLOAD_RETRIES);
+                if attempts > MAX_UPLOAD_RETRIES {
                     expected_dropped += 1;
                 }
             }

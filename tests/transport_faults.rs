@@ -129,7 +129,7 @@ impl FederatedClient for ScriptClient {
 }
 
 /// A straggling link buffers the encoded frame and delivers it a round
-/// late; the server applies it at `staleness_decay^age` — the frame's own
+/// late; the server applies it at `STALENESS_DECAY^age` — the frame's own
 /// round header carries its origin.
 #[test]
 fn frames_buffered_by_a_straggling_link_land_late_and_discounted() {
@@ -148,9 +148,7 @@ fn frames_buffered_by_a_straggling_link_land_late_and_discounted() {
                 global: vec![],
             },
         ];
-        let mut cfg = config(2);
-        cfg.staleness_decay = 0.5;
-        let mut fed = Federation::builder(clients, cfg)
+        let mut fed = Federation::builder(clients, config(2))
             .seed(5)
             .transport(kind)
             .fault_plan(&plan)
