@@ -15,9 +15,7 @@ use fedpower_agent::{ControllerConfig, DeviceEnvConfig};
 use fedpower_bench::BenchArgs;
 use fedpower_core::eval::{evaluate_on_app, EvalOptions};
 use fedpower_core::report::markdown_table;
-use fedpower_federated::{
-    AgentClient, AggregationStrategy, FaultPlan, FedAvgConfig, Federation, TransportKind,
-};
+use fedpower_federated::{AgentClient, AggregationStrategy, FaultPlan, FedAvgConfig, Federation};
 use fedpower_workloads::AppId;
 
 /// The classic model-poisoning attack: the update's direction is flipped
@@ -25,12 +23,7 @@ use fedpower_workloads::AppId;
 /// scheduled for every round.
 const POISON_FACTOR: f32 = -10.0;
 
-fn run(
-    strategy: AggregationStrategy,
-    with_attacker: bool,
-    rounds: u64,
-    transport: TransportKind,
-) -> f64 {
+fn run(strategy: AggregationStrategy, with_attacker: bool, rounds: u64) -> f64 {
     let apps: [&[AppId]; 4] = [
         &[AppId::Fft, AppId::Lu],
         &[AppId::Ocean, AppId::Radix],
@@ -65,10 +58,9 @@ fn run(
     cfg.rounds = rounds;
     let mut fed = Federation::builder(agents, cfg)
         .seed(7)
-        .transport(transport)
         .fault_plan(&plan)
         .build()
-        .expect("transport links");
+        .expect("valid federation config");
     fed.run();
 
     // Evaluate the resulting global policy from an honest client's view.
@@ -100,8 +92,8 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (name, strategy) in strategies {
-        let clean = run(strategy, false, rounds, cfg.transport);
-        let attacked = run(strategy, true, rounds, cfg.transport);
+        let clean = run(strategy, false, rounds);
+        let attacked = run(strategy, true, rounds);
         rows.push(vec![
             name.to_string(),
             format!("{clean:.3}"),

@@ -19,10 +19,10 @@ use fedpower_sim::FreqLevel;
 use fedpower_workloads::AppId;
 use std::time::Instant;
 
-/// Runs one short federated round over the configured transport with
-/// uploads encoded under `codec`, and returns the measured mean upload
-/// size in bytes — counted from the encoded frames that actually crossed
-/// the link, not estimated.
+/// Runs one short federated round over in-process links with uploads
+/// encoded under `codec`, and returns the measured mean upload size in
+/// bytes — counted from the encoded frames that actually crossed the
+/// link, not estimated.
 fn measured_transfer_bytes(cfg: &fedpower_core::ExperimentConfig, codec: Codec) -> f64 {
     let clients: Vec<AgentClient> = [&[AppId::Fft][..], &[AppId::Ocean][..]]
         .iter()
@@ -33,11 +33,7 @@ fn measured_transfer_bytes(cfg: &fedpower_core::ExperimentConfig, codec: Codec) 
     fed_cfg.rounds = 1;
     fed_cfg.steps_per_round = 20;
     fed_cfg.codec = codec;
-    let mut fed = Federation::builder(clients, fed_cfg)
-        .seed(cfg.seed)
-        .transport(cfg.transport)
-        .build()
-        .expect("transport links");
+    let mut fed = Federation::new(clients, fed_cfg, cfg.seed);
     fed.run_round();
     let stats = fed.transport();
     stats.uploaded_bytes as f64 / stats.uploads as f64
@@ -146,7 +142,7 @@ fn main() {
                     "2.8 kB".into(),
                 ],
                 vec![
-                    format!("measured on the wire ({})", cfg.transport),
+                    "measured on the wire".into(),
                     format!("{:.2} kB", measured / 1024.0),
                     "2.8 kB".into(),
                 ],

@@ -49,11 +49,7 @@ fn main() {
             .collect();
         let mut fed_cfg = FedAvgConfig::paper();
         fed_cfg.rounds = rounds;
-        let mut fed = Federation::builder(clients, fed_cfg)
-            .seed(derive_seed(cfg.seed, 900 + n as u64))
-            .transport(cfg.transport)
-            .build()
-            .expect("transport links");
+        let mut fed = Federation::new(clients, fed_cfg, derive_seed(cfg.seed, 900 + n as u64));
 
         // Track how early the policy becomes "good" on unseen apps, and
         // its converged worst-case quality (tail mean denoises the

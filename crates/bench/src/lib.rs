@@ -29,7 +29,7 @@
 #![warn(missing_docs)]
 
 use fedpower_core::{ConfigError, ExperimentConfig};
-use fedpower_federated::{Codec, FaultScenario, ServerOpt, ServerOptKind, TransportKind};
+use fedpower_federated::{Codec, FaultScenario, ServerOpt, ServerOptKind};
 use fedpower_telemetry::SinkSpec;
 
 /// Command-line options shared by all bench binaries.
@@ -45,8 +45,6 @@ pub struct BenchArgs {
     pub quick: bool,
     /// Fault scenario injected into federated runs (`--faults NAME`).
     pub faults: Option<FaultScenario>,
-    /// Transport backend for federated runs (`--transport channel|tcp`).
-    pub transport: Option<TransportKind>,
     /// Telemetry sink for federated runs
     /// (`--telemetry off|summary|jsonl:<path>`); binaries that federate
     /// open it via [`fedpower_telemetry::Sink::open`].
@@ -73,7 +71,6 @@ impl BenchArgs {
             seed: None,
             quick: false,
             faults: None,
-            transport: None,
             telemetry: SinkSpec::Off,
             optimizer: None,
             codec: None,
@@ -97,12 +94,6 @@ impl BenchArgs {
                             "bad --faults: {v:?} (expected none, lossy-network, stragglers, \
                              flaky-fleet, or chaos)"
                         )
-                    })?);
-                }
-                "--transport" => {
-                    let v = iter.next().ok_or("--transport needs a value")?;
-                    out.transport = Some(TransportKind::parse(&v).ok_or_else(|| {
-                        format!("bad --transport: {v:?} (expected channel or tcp)")
                     })?);
                 }
                 "--telemetry" => {
@@ -138,7 +129,7 @@ impl BenchArgs {
                 eprintln!("error: {msg}");
                 eprintln!(
                     "usage: [--rounds N] [--seed S] [--quick] [--faults SCENARIO] \
-                     [--transport channel|tcp] [--telemetry off|summary|jsonl:<path>] \
+                     [--telemetry off|summary|jsonl:<path>] \
                      [--optimizer fedavg|fedadam|fedprox] [--codec dense|q8|q16|topk:<frac>]"
                 );
                 std::process::exit(2);
@@ -163,9 +154,6 @@ impl BenchArgs {
         }
         if let Some(faults) = self.faults {
             b = b.faults(faults);
-        }
-        if let Some(transport) = self.transport {
-            b = b.transport(transport);
         }
         if let Some(kind) = self.optimizer {
             b = b.optimizer(ServerOpt::from_kind(kind));
@@ -285,19 +273,5 @@ mod tests {
         assert!(parse(&["--codec", "gzip"]).is_err());
         assert!(parse(&["--codec", "topk:1.5"]).is_err());
         assert!(parse(&["--codec"]).is_err());
-    }
-
-    #[test]
-    fn transport_flag_selects_a_backend() {
-        let args = parse(&["--transport", "tcp"]).unwrap();
-        assert_eq!(args.transport, Some(TransportKind::Tcp));
-        assert_eq!(args.config().transport, TransportKind::Tcp);
-        assert_eq!(
-            parse(&[]).unwrap().config().transport,
-            TransportKind::Channel,
-            "default stays in-process"
-        );
-        assert!(parse(&["--transport", "carrier-pigeon"]).is_err());
-        assert!(parse(&["--transport"]).is_err());
     }
 }

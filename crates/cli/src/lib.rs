@@ -4,7 +4,7 @@
 //! experiment dispatch, separated from `main.rs` so they are unit-testable.
 //!
 //! ```text
-//! fedpower <command> [--rounds N] [--seed S] [--quick] [--out DIR] [--transport channel|tcp]
+//! fedpower <command> [--rounds N] [--seed S] [--quick] [--out DIR]
 //!          [--faults none|lossy-network|stragglers|flaky-fleet|chaos]
 //!          [--telemetry off|summary|jsonl:<path>]
 //!          [--fleet shards=<k>,clients=<n>] [--optimizer fedavg|fedadam|fedprox]
@@ -28,7 +28,7 @@ pub mod commands;
 pub mod server;
 
 use fedpower_core::{ConfigError, ExperimentConfig, FleetSpec};
-use fedpower_federated::{Codec, FaultScenario, ServerOpt, ServerOptKind, TransportKind};
+use fedpower_federated::{Codec, FaultScenario, ServerOpt, ServerOptKind};
 use fedpower_telemetry::SinkSpec;
 use std::fmt;
 use std::path::PathBuf;
@@ -48,8 +48,6 @@ pub struct Invocation {
     pub quick: bool,
     /// `--out DIR` — write CSV artifacts there instead of stdout only.
     pub out: Option<PathBuf>,
-    /// `--transport channel|tcp` — federation transport backend.
-    pub transport: Option<TransportKind>,
     /// `--faults <scenario>` — fault model injected into federated runs.
     pub faults: Option<FaultScenario>,
     /// `--telemetry off|summary|jsonl:<path>` — where the federation's
@@ -168,7 +166,6 @@ impl Invocation {
             seed: None,
             quick: false,
             out: None,
-            transport: None,
             faults: None,
             telemetry: SinkSpec::Off,
             fleet: None,
@@ -201,16 +198,6 @@ impl Invocation {
                         .next()
                         .ok_or_else(|| ParseInvocationError("--out needs a directory".into()))?;
                     inv.out = Some(PathBuf::from(v));
-                }
-                "--transport" => {
-                    let v = iter
-                        .next()
-                        .ok_or_else(|| ParseInvocationError("--transport needs a value".into()))?;
-                    inv.transport = Some(TransportKind::parse(&v).ok_or_else(|| {
-                        ParseInvocationError(format!(
-                            "bad --transport: {v:?} (expected channel or tcp)"
-                        ))
-                    })?);
                 }
                 "--faults" => {
                     let v = iter
@@ -284,9 +271,6 @@ impl Invocation {
         if let Some(seed) = self.seed {
             b = b.seed(seed);
         }
-        if let Some(transport) = self.transport {
-            b = b.transport(transport);
-        }
         if let Some(faults) = self.faults {
             b = b.faults(faults);
         }
@@ -305,7 +289,7 @@ impl Invocation {
 
 /// The usage text shown on parse errors.
 pub const USAGE: &str = "usage: fedpower <fig3|fig4|table3|fig5|pcrit|oracle|fleet|list> \
-[--rounds N] [--seed S] [--quick] [--out DIR] [--transport channel|tcp] \
+[--rounds N] [--seed S] [--quick] [--out DIR] \
 [--faults none|lossy-network|stragglers|flaky-fleet|chaos] \
 [--telemetry off|summary|jsonl:<path>] [--fleet shards=<k>,clients=<n>] \
 [--optimizer fedavg|fedadam|fedprox] [--codec dense|q8|q16|topk:<frac>]";
@@ -348,19 +332,6 @@ mod tests {
         assert!(parse(&["fig3", "--codec", "gzip"]).is_err());
         assert!(parse(&["fig3", "--codec", "topk:0"]).is_err());
         assert!(parse(&["fig3", "--codec"]).is_err());
-    }
-
-    #[test]
-    fn transport_flag_selects_a_backend() {
-        let inv = parse(&["fig3", "--transport", "tcp"]).unwrap();
-        assert_eq!(inv.transport, Some(TransportKind::Tcp));
-        assert_eq!(inv.config().unwrap().transport, TransportKind::Tcp);
-        assert_eq!(
-            parse(&["fig3"]).unwrap().config().unwrap().transport,
-            TransportKind::Channel
-        );
-        assert!(parse(&["fig3", "--transport", "smoke-signals"]).is_err());
-        assert!(parse(&["fig3", "--transport"]).is_err());
     }
 
     #[test]

@@ -63,7 +63,8 @@ pub struct ServeArgs {
     /// `--wait-for` — clients that must join before a round opens
     /// (default: all slots).
     pub wait_for: Option<usize>,
-    /// `--round-timeout-ms` — wall-clock round deadline.
+    /// `--round-timeout-ms` — wall-clock round deadline, and the longest
+    /// the server waits on one frame to a peer that stopped reading.
     pub round_timeout_ms: u64,
     /// `--halt-after` — exit cleanly after checkpointing this round.
     pub halt_after: Option<u64>,

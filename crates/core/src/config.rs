@@ -3,7 +3,7 @@
 
 use fedpower_agent::{ControllerConfig, RewardConfig};
 use fedpower_baselines::ProfitConfig;
-use fedpower_federated::{Codec, FaultScenario, FedAvgConfig, FedError, ServerOpt, TransportKind};
+use fedpower_federated::{Codec, FaultScenario, FedAvgConfig, FedError, ServerOpt};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -66,10 +66,6 @@ pub struct ExperimentConfig {
     /// Fault model injected into [`crate::experiment::run_federated`]
     /// (`None` reproduces the paper's reliable synchronous setting).
     pub fault_scenario: FaultScenario,
-    /// Transport backend carrying the federation's wire frames
-    /// (in-process channels by default; loopback TCP exercises real
-    /// sockets with identical results).
-    pub transport: TransportKind,
     /// Master seed; every stochastic component derives from it.
     pub seed: u64,
     /// Hierarchical shard topology (`None` = classic flat federation).
@@ -106,7 +102,6 @@ impl ExperimentConfig {
             eval_max_steps: 1200,
             eval_protocol: EvalProtocol::RoundRobin,
             fault_scenario: FaultScenario::None,
-            transport: TransportKind::Channel,
             seed: 42,
             fleet: None,
         }
@@ -224,12 +219,6 @@ impl ExperimentConfigBuilder {
     /// Sets the master seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the transport backend carrying the federation's frames.
-    pub fn transport(mut self, kind: TransportKind) -> Self {
-        self.cfg.transport = kind;
         self
     }
 
@@ -372,12 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_setting_uses_in_process_channels() {
-        assert_eq!(ExperimentConfig::paper().transport, TransportKind::Channel);
-        assert_eq!(ExperimentConfig::smoke().transport, TransportKind::Channel);
-    }
-
-    #[test]
     fn builder_defaults_to_the_paper_config() {
         let cfg = ExperimentConfig::builder().build().unwrap();
         assert_eq!(cfg, ExperimentConfig::paper());
@@ -397,13 +380,11 @@ mod tests {
             .quick(true)
             .rounds(7)
             .seed(9)
-            .transport(TransportKind::Tcp)
             .faults(FaultScenario::Chaos)
             .build()
             .unwrap();
         assert_eq!(cfg.fedavg.rounds, 7);
         assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.transport, TransportKind::Tcp);
         assert_eq!(cfg.fault_scenario, FaultScenario::Chaos);
         assert_eq!(cfg.eval_steps, ExperimentConfig::smoke().eval_steps);
     }

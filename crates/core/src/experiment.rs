@@ -167,9 +167,9 @@ fn federation_loop(
     reports
 }
 
-/// Builds the scenario's federation over the configured transport,
-/// injecting a seed-deterministic [`FaultPlan`] into the links when the
-/// fault scenario asks for one, and handing `recorder` the federation's
+/// Builds the scenario's federation over in-process links, injecting a
+/// seed-deterministic [`FaultPlan`] into the links when the fault
+/// scenario asks for one, and handing `recorder` the federation's
 /// telemetry stream.
 fn build_federation(
     clients: Vec<AgentClient>,
@@ -189,13 +189,12 @@ fn build_federation(
     });
     let builder = Federation::builder(clients, cfg.fedavg)
         .seed(seed)
-        .transport(cfg.transport)
         .recorder(recorder);
     match plan.as_ref() {
         Some(p) => builder.fault_plan(p).build(),
         None => builder.build(),
     }
-    .expect("transport links")
+    .expect("a validated config builds a federation")
 }
 
 /// Trains one shared policy across the scenario's devices with federated
@@ -205,7 +204,7 @@ fn build_federation(
 /// transport link is wrapped in a [`fedpower_federated::FaultyTransport`]
 /// driven by a seed-deterministic [`FaultPlan`], so faults strike the
 /// bytes in flight; with `FaultScenario::None` the plain links are used
-/// unchanged, so fault-free runs are bit-identical across backends.
+/// unchanged.
 pub fn run_federated(scenario: &Scenario, cfg: &ExperimentConfig) -> FederatedOutcome {
     run_federated_recorded(scenario, cfg, Box::new(NullRecorder))
 }
@@ -449,11 +448,7 @@ pub fn run_federated_training_only(scenario: &Scenario, cfg: &ExperimentConfig) 
             )
         })
         .collect();
-    let mut federation = Federation::builder(clients, cfg.fedavg)
-        .seed(derive_seed(cfg.seed, 30))
-        .transport(cfg.transport)
-        .build()
-        .expect("transport links");
+    let mut federation = Federation::new(clients, cfg.fedavg, derive_seed(cfg.seed, 30));
     federation.run();
     federation.clients()[0].agent().clone()
 }
@@ -493,11 +488,7 @@ pub fn run_personalized(
             )
         })
         .collect();
-    let mut federation = Federation::builder(clients, cfg.fedavg)
-        .seed(derive_seed(cfg.seed, 30))
-        .transport(cfg.transport)
-        .build()
-        .expect("transport links");
+    let mut federation = Federation::new(clients, cfg.fedavg, derive_seed(cfg.seed, 30));
     federation.run();
     let global = federation.clients()[0].agent().clone();
 

@@ -4,7 +4,7 @@ use crate::error::FedError;
 use crate::fault::{FaultPlan, FaultyTransport};
 use crate::report::{RoundReport, Tee, TransportStats};
 use crate::server::{AggregationStrategy, ServerOpt};
-use crate::transport::{Transport, TransportKind};
+use crate::transport::{ChannelTransport, Transport, TransportKind};
 use crate::wire;
 use fedpower_sim::rng::{derive_rng, streams};
 use fedpower_telemetry::{NullRecorder, Recorder, Span};
@@ -129,16 +129,17 @@ pub struct Federation<C: FederatedClient> {
 /// removal (see `CHANGELOG.md`).
 ///
 /// ```
-/// # use fedpower_federated::{FedAvgConfig, Federation, TdClient, TransportKind};
+/// # use fedpower_federated::{FaultPlan, FedAvgConfig, Federation, TdClient};
 /// # use fedpower_agent::{DeviceEnvConfig, TdConfig};
 /// # use fedpower_workloads::AppId;
 /// # let client = |id| TdClient::new(id, TdConfig::paper_with_gamma(0.9),
 /// #     DeviceEnvConfig::new(&[AppId::Fft]), 7);
+/// let plan = FaultPlan::none();
 /// let federation = Federation::builder(vec![client(0), client(1)], FedAvgConfig::paper())
 ///     .seed(42)
-///     .transport(TransportKind::Tcp)
+///     .fault_plan(&plan)
 ///     .build()
-///     .expect("loopback links");
+///     .expect("valid configuration");
 /// ```
 ///
 /// The lifetime `'p` is that of the optional borrowed [`FaultPlan`];
@@ -148,7 +149,6 @@ pub struct FederationBuilder<'p, C: FederatedClient> {
     clients: Vec<C>,
     config: FedAvgConfig,
     seed: u64,
-    kind: TransportKind,
     links: Option<Vec<Box<dyn Transport>>>,
     plan: Option<&'p FaultPlan>,
     recorder: Box<dyn Recorder>,
@@ -162,16 +162,8 @@ impl<'p, C: FederatedClient> FederationBuilder<'p, C> {
         self
     }
 
-    /// Link backend used when no explicit links are supplied (default
-    /// [`TransportKind::Channel`]).
-    #[must_use]
-    pub fn transport(mut self, kind: TransportKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
-    /// Explicit transport links, one per client in the same order.
-    /// Overrides [`FederationBuilder::transport`].
+    /// Explicit transport links, one per client in the same order
+    /// (default: one in-process [`ChannelTransport`] per client).
     #[must_use]
     pub fn links(mut self, links: Vec<Box<dyn Transport>>) -> Self {
         self.links = Some(links);
@@ -186,7 +178,6 @@ impl<'p, C: FederatedClient> FederationBuilder<'p, C> {
             clients: self.clients,
             config: self.config,
             seed: self.seed,
-            kind: self.kind,
             links: self.links,
             plan: Some(plan),
             recorder: self.recorder,
@@ -208,8 +199,7 @@ impl<'p, C: FederatedClient> FederationBuilder<'p, C> {
     ///
     /// [`FedError::InvalidConfig`] when `clients` is empty, the
     /// configuration fails [`FedAvgConfig::validate`], explicit `links`
-    /// and `clients` disagree in length, or a link cannot be established
-    /// (e.g. no loopback networking for [`TransportKind::Tcp`]).
+    /// and `clients` disagree in length.
     pub fn build(self) -> Result<Federation<C>, FedError> {
         let config = self.config;
         config.validate()?;
@@ -219,25 +209,18 @@ impl<'p, C: FederatedClient> FederationBuilder<'p, C> {
                 "federation needs at least one client".to_string(),
             ));
         }
-        let links: Vec<Box<dyn Transport>> = match self.links {
-            Some(links) => match self.plan {
-                Some(p) => links
-                    .into_iter()
-                    .map(|link| Box::new(FaultyTransport::new(link, p)) as Box<dyn Transport>)
-                    .collect(),
-                None => links,
-            },
-            None => {
-                let mut links: Vec<Box<dyn Transport>> = Vec::with_capacity(clients.len());
-                for c in &clients {
-                    let link = self.kind.connect(c.id())?;
-                    links.push(match self.plan {
-                        Some(p) => Box::new(FaultyTransport::new(link, p)),
-                        None => link,
-                    });
-                }
-                links
-            }
+        let links = self.links.unwrap_or_else(|| {
+            clients
+                .iter()
+                .map(|c| Box::new(ChannelTransport::connect(c.id())) as Box<dyn Transport>)
+                .collect()
+        });
+        let links: Vec<Box<dyn Transport>> = match self.plan {
+            Some(p) => links
+                .into_iter()
+                .map(|link| Box::new(FaultyTransport::new(link, p)) as Box<dyn Transport>)
+                .collect(),
+            None => links,
         };
         if links.len() != clients.len() {
             return Err(FedError::InvalidConfig(format!(
@@ -268,7 +251,7 @@ impl<'p, C: FederatedClient> FederationBuilder<'p, C> {
 
 impl<C: FederatedClient> Federation<C> {
     /// Creates a federation over `clients` with default in-process
-    /// [`crate::ChannelTransport`] links.
+    /// [`ChannelTransport`] links.
     ///
     /// The initial global model is taken from the first client (all clients
     /// share one architecture) and broadcast to everyone.
@@ -286,28 +269,28 @@ impl<C: FederatedClient> Federation<C> {
     /// Starts staged construction of a federation — the one constructor
     /// surface behind every transport/fault-plan/recorder combination.
     ///
-    /// Defaults: seed 0, [`TransportKind::Channel`] links, no fault
+    /// Defaults: seed 0, in-process [`ChannelTransport`] links, no fault
     /// plan, a [`NullRecorder`]. See [`FederationBuilder`].
     pub fn builder(clients: Vec<C>, config: FedAvgConfig) -> FederationBuilder<'static, C> {
         FederationBuilder {
             clients,
             config,
             seed: 0,
-            kind: TransportKind::Channel,
             links: None,
             plan: None,
             recorder: Box::new(NullRecorder),
         }
     }
 
-    /// Creates a federation whose links all use the `kind` backend.
+    /// Creates a federation over in-process links (`kind` has the one
+    /// value [`TransportKind::Channel`]).
     ///
     /// # Errors
     ///
     /// As [`FederationBuilder::build`].
     #[deprecated(
         since = "0.1.0",
-        note = "use `Federation::builder(clients, config).seed(..).transport(kind).build()`"
+        note = "use `Federation::builder(clients, config).seed(..).build()`"
     )]
     pub fn with_transport(
         clients: Vec<C>,
@@ -315,13 +298,11 @@ impl<C: FederatedClient> Federation<C> {
         seed: u64,
         kind: TransportKind,
     ) -> Result<Self, FedError> {
-        Self::builder(clients, config)
-            .seed(seed)
-            .transport(kind)
-            .build()
+        let TransportKind::Channel = kind;
+        Self::builder(clients, config).seed(seed).build()
     }
 
-    /// Creates a federation over `kind` links, each wrapped in a
+    /// Creates a federation over in-process links, each wrapped in a
     /// [`FaultyTransport`] actuating `plan` on the bytes in flight — the
     /// transport-level fault-injection path.
     ///
@@ -330,7 +311,7 @@ impl<C: FederatedClient> Federation<C> {
     /// As [`FederationBuilder::build`].
     #[deprecated(
         since = "0.1.0",
-        note = "use `Federation::builder(..).transport(kind).fault_plan(plan).build()`"
+        note = "use `Federation::builder(..).fault_plan(plan).build()`"
     )]
     pub fn with_transport_and_plan(
         clients: Vec<C>,
@@ -339,14 +320,14 @@ impl<C: FederatedClient> Federation<C> {
         kind: TransportKind,
         plan: &FaultPlan,
     ) -> Result<Self, FedError> {
+        let TransportKind::Channel = kind;
         Self::builder(clients, config)
             .seed(seed)
-            .transport(kind)
             .fault_plan(plan)
             .build()
     }
 
-    /// The most general `kind`-backed constructor: optional fault plan on
+    /// The most general `kind`-taking constructor: optional fault plan on
     /// the links, and an explicit telemetry [`Recorder`] that observes
     /// everything from the join handshake onwards.
     ///
@@ -355,7 +336,7 @@ impl<C: FederatedClient> Federation<C> {
     /// As [`FederationBuilder::build`].
     #[deprecated(
         since = "0.1.0",
-        note = "use `Federation::builder(..)` with `.transport`/`.fault_plan`/`.recorder`"
+        note = "use `Federation::builder(..)` with `.fault_plan`/`.recorder`"
     )]
     pub fn with_options(
         clients: Vec<C>,
@@ -365,10 +346,8 @@ impl<C: FederatedClient> Federation<C> {
         plan: Option<&FaultPlan>,
         recorder: Box<dyn Recorder>,
     ) -> Result<Self, FedError> {
-        let builder = Self::builder(clients, config)
-            .seed(seed)
-            .transport(kind)
-            .recorder(recorder);
+        let TransportKind::Channel = kind;
+        let builder = Self::builder(clients, config).seed(seed).recorder(recorder);
         match plan {
             Some(p) => builder.fault_plan(p).build(),
             None => builder.build(),
@@ -867,26 +846,6 @@ mod tests {
             t.downloaded_bytes,
             (base_downloads + 2) * wire::broadcast_frame_len(4) as u64
         );
-    }
-
-    #[test]
-    fn tcp_links_reproduce_the_channel_round_exactly() {
-        let channel = {
-            let mut fed = two_client_federation(FedAvgConfig::paper());
-            fed.run_round();
-            fed.global_params().to_vec()
-        };
-        let tcp = {
-            let clients = vec![FakeClient::new(0, 0.0), FakeClient::new(1, 10.0)];
-            let mut fed = Federation::builder(clients, FedAvgConfig::paper())
-                .seed(7)
-                .transport(TransportKind::Tcp)
-                .build()
-                .expect("loopback TCP links");
-            fed.run_round();
-            fed.global_params().to_vec()
-        };
-        assert_eq!(channel, tcp, "backends must be bit-identical");
     }
 
     #[test]

@@ -34,6 +34,10 @@
 //!   partials commit through the same server path bit-identically to a
 //!   flat round — which is what keeps a 100k-client round inside a fixed
 //!   memory budget,
+//! * [`Transport`] / [`ChannelTransport`] — the in-process link every
+//!   model exchange crosses as encoded bytes; real sockets live only in
+//!   [`netserver`], the `fedpower-server` driver of the same
+//!   [`RoundEngine`],
 //! * [`FaultPlan`] / [`FaultyTransport`] — seed-deterministic fault
 //!   injection (drops, stragglers, corruption, crash-and-rejoin) applied to
 //!   bytes in flight, for resilience testing,
@@ -93,7 +97,7 @@ pub use server::{
     AggregationServer, AggregationStrategy, RoundAccumulator, ServerOpt, ServerOptKind,
 };
 pub use td_client::TdClient;
-pub use transport::{ChannelTransport, TcpTransport, Transport, TransportKind};
+pub use transport::{ChannelTransport, Transport, TransportKind};
 pub use wire::{Codec, CodecError, CodedUpdate, Envelope, ReferenceWindow, WireError};
 
 // Compatibility shims: the reporting types moved into [`report`] when the

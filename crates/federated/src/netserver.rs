@@ -97,7 +97,9 @@ pub struct ServeOptions {
     /// deterministic participant sets. Clamped to `1..=slots`.
     pub wait_for: usize,
     /// Wall-clock budget per round: when it expires the engine's
-    /// deadline tick closes out still-pending clients as offline.
+    /// deadline tick closes out still-pending clients as offline. It
+    /// also bounds each frame the server writes: a peer that stops
+    /// reading is closed once a write has waited this long.
     pub round_timeout: Duration,
     /// Test hook: exit cleanly right after checkpointing this round
     /// (simulates a crash at a round boundary without signal plumbing;
@@ -291,6 +293,7 @@ pub fn serve_on(
                             recorder,
                             &mut parked,
                             &mut ledger,
+                            opts.round_timeout,
                         ) {
                             conn.dead = true;
                         }
@@ -353,7 +356,7 @@ pub fn serve_on(
             if expired || engine.pending_uploads() == 0 {
                 let round = engine.rounds_run() + 1;
                 engine.handle(Frame::CloseRound, recorder);
-                broadcast(&mut conns, round, &mut engine, recorder);
+                broadcast(&mut conns, round, &mut engine, recorder, opts.round_timeout);
                 engine.handle(Frame::EndRound, recorder);
                 round_opened = None;
                 // Make the round's telemetry durable before the
@@ -385,8 +388,9 @@ pub fn serve_on(
     })
 }
 
-/// Processes one complete frame from `conn`. Returns `false` when the
-/// connection violated the protocol and should be dropped.
+/// Processes one complete frame from `conn`, giving a reply at most
+/// `write_budget` to go out. Returns `false` when the connection violated
+/// the protocol or stalled, and should be dropped.
 fn handle_frame(
     conn: &mut Conn,
     frame: Vec<u8>,
@@ -394,6 +398,7 @@ fn handle_frame(
     recorder: &mut dyn Recorder,
     parked: &mut Vec<(usize, Vec<u8>)>,
     ledger: &mut RoundLedger,
+    write_budget: Duration,
 ) -> bool {
     let Ok(env) = Envelope::decode(&frame) else {
         // A structurally broken frame from an identified, not-yet-fed
@@ -424,12 +429,14 @@ fn handle_frame(
             if slot >= engine.client_count() || engine.joined(slot) {
                 return false;
             }
-            conn.slot = Some(slot);
             let ack = wire::encode_join_ack_at(engine.rounds_run(), slot, engine.global());
             let ack_len = ack.len();
-            if write_frame(&mut conn.stream, &ack).is_err() {
+            if write_frame(&mut conn.stream, &ack, write_budget).is_err() {
                 return false;
             }
+            // The slot is taken only once the ack is out: a peer that
+            // never read it leaves without ever having joined.
+            conn.slot = Some(slot);
             engine.handle(
                 Frame::Join {
                     client: slot,
@@ -501,12 +508,15 @@ fn dispatch_upload(
 }
 
 /// Broadcasts the round's global model to every joined connection,
-/// feeding the engine the delivery outcome per client.
+/// feeding the engine the delivery outcome per client. A connection
+/// whose frame does not go out within `write_budget` is closed and its
+/// delivery counted as dropped.
 fn broadcast(
     conns: &mut [Conn],
     round: u64,
     engine: &mut RoundEngine,
     recorder: &mut dyn Recorder,
+    write_budget: Duration,
 ) {
     for conn in conns.iter_mut() {
         let Some(slot) = conn.slot else { continue };
@@ -515,7 +525,7 @@ fn broadcast(
         }
         let frame = wire::encode_broadcast(round, slot, engine.global());
         let frame_len = frame.len();
-        let outcome = if write_frame(&mut conn.stream, &frame).is_ok() {
+        let outcome = if write_frame(&mut conn.stream, &frame, write_budget).is_ok() {
             Frame::Delivered {
                 client: slot,
                 frame_len,
@@ -528,17 +538,25 @@ fn broadcast(
     }
 }
 
-/// Writes one length-prefixed frame, retrying `WouldBlock` (a
-/// momentarily full send buffer on the server's nonblocking sockets)
-/// with short sleeps.
-fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> std::io::Result<()> {
+/// Writes one length-prefixed frame on a nonblocking server socket,
+/// retrying `WouldBlock` (a momentarily full send buffer) with short
+/// sleeps. Fails with `TimedOut` once the frame has waited `budget`: a
+/// peer that stops reading fills its socket buffers, and the
+/// single-threaded loop must not wait on it forever.
+fn write_frame(stream: &mut TcpStream, frame: &[u8], budget: Duration) -> std::io::Result<()> {
     let wire_bytes = prefix_frame(frame);
+    let started = Instant::now();
     let mut written = 0;
     while written < wire_bytes.len() {
         match stream.write(&wire_bytes[written..]) {
             Ok(0) => return Err(ErrorKind::WriteZero.into()),
             Ok(n) => written += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(IDLE_POLL),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                if started.elapsed() >= budget {
+                    return Err(ErrorKind::TimedOut.into());
+                }
+                std::thread::sleep(IDLE_POLL);
+            }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -605,7 +623,10 @@ pub fn run_client<C: FederatedClient>(
     'sessions: loop {
         let mut stream = connect_retry(&opts.addr, opts.reconnect, opts.read_timeout)?;
         let mut reasm = FrameReassembler::new();
-        if write_frame(&mut stream, &Envelope::join_request(slot as u64).encode()).is_err() {
+        if stream
+            .write_all(&prefix_frame(&Envelope::join_request(slot as u64).encode()))
+            .is_err()
+        {
             continue 'sessions;
         }
         let Ok(ack) = read_frame(&mut stream, &mut reasm) else {
@@ -646,7 +667,7 @@ pub fn run_client<C: FederatedClient>(
                     f
                 }
             };
-            if write_frame(&mut stream, &frame).is_err() {
+            if stream.write_all(&prefix_frame(&frame)).is_err() {
                 continue 'sessions;
             }
             let Ok(reply) = read_frame(&mut stream, &mut reasm) else {

@@ -8,7 +8,7 @@ use fedpower_federated::engine::{EnginePolicy, Frame, RoundEngine};
 use fedpower_federated::wire as fedwire;
 use fedpower_federated::{
     run_client, serve_on, AgentClient, Codec, Fault, FaultPlan, FedAvgConfig, FederatedClient,
-    Federation, JoinOptions, ModelUpdate, ServeOptions, TransportKind,
+    Federation, JoinOptions, ModelUpdate, ServeOptions,
 };
 use fedpower_telemetry::{Event, EventKind, MemoryRecorder, Recorder};
 use fedpower_wire::stream::{prefix_frame, FrameReassembler};
@@ -308,7 +308,6 @@ fn mid_round_disconnect_and_rejoin_matches_the_fault_plan_accounting() {
     let clients = vec![agent(0, AppId::Fft, 1), agent(1, AppId::Ocean, 2)];
     let mut federation = Federation::builder(clients, opts.config)
         .seed(42)
-        .transport(TransportKind::Channel)
         .fault_plan(&plan)
         .build()
         .expect("federation");
@@ -391,6 +390,63 @@ fn a_join_for_a_held_slot_is_refused() {
         .filter(|e| e.kind == EventKind::ClientJoined && e.client == Some(0))
         .count();
     assert_eq!(slot0_joins, 1, "slot 0 joins once");
+}
+
+/// A peer that sends a join request and then never reads cannot stall
+/// the server: its 16 MiB join ack overfills the socket buffers, the
+/// write gives up after `round_timeout`, and the peer is closed without
+/// ever having joined, while another client joins and completes the
+/// round.
+#[test]
+fn a_peer_that_stops_reading_cannot_stall_the_server() {
+    // 4 Mi parameters: a 16 MiB frame, more than loopback socket buffers
+    // hold for a peer that reads nothing.
+    let dim = 4 << 20;
+    let (listener, addr) = bind();
+    let mut opts = ServeOptions::new(2, small_config(1), vec![0.25; dim]);
+    opts.wait_for = 1;
+    opts.round_timeout = Duration::from_secs(2);
+    let recorder = MemoryRecorder::new();
+    let server = {
+        let opts = opts.clone();
+        let mut rec = recorder.clone();
+        thread::spawn(move || serve_on(listener, &opts, &mut rec).expect("serve"))
+    };
+
+    let mut stalled = TcpStream::connect(&addr).expect("connect");
+    stalled
+        .write_all(&prefix_frame(&Envelope::join_request(0).encode()))
+        .expect("send");
+    settle();
+    let (mut live, ack) = Scripted::join(&addr, 1);
+    assert_eq!(ack.round, 0);
+    let update = ModelUpdate {
+        client_id: 1,
+        params: vec![0.5; dim],
+        num_samples: 20,
+    };
+    live.send(&fedwire::encode_upload_with(
+        Codec::Dense32,
+        1,
+        &update,
+        None,
+    ));
+    assert_eq!(live.recv().round, 1, "the live client gets the broadcast");
+
+    let report = server.join().unwrap();
+    assert_eq!(report.rounds_committed, 1);
+    let slot0_churn: Vec<EventKind> = recorder
+        .events()
+        .iter()
+        .filter(|e| e.client == Some(0))
+        .map(|e| e.kind)
+        .filter(|k| matches!(k, EventKind::ClientJoined | EventKind::ClientLeft))
+        .collect();
+    assert!(
+        slot0_churn.is_empty(),
+        "the stalled peer never joined: {slot0_churn:?}"
+    );
+    drop(stalled);
 }
 
 /// Kill-and-resume (ISSUE-10 acceptance): a server halted after round 2

@@ -7,7 +7,6 @@ use fedpower::core::scenario::{six_six_split, table2_scenarios};
 use fedpower::core::ExperimentConfig;
 use fedpower::federated::{
     AgentClient, FaultConfig, FaultPlan, FaultScenario, FedAvgConfig, FederatedClient, Federation,
-    TransportKind,
 };
 use fedpower::workloads::AppId;
 
@@ -95,81 +94,44 @@ fn explicit_fedavg_optimizer_matches_the_default_under_chaos() {
     assert_eq!(default_run.fault_summary, explicit_run.fault_summary);
 }
 
-/// The reward series, transport accounting, and final policy are
-/// bit-identical across the channel and TCP transports: both byte
-/// transports are pure plumbing around the same math.
-#[test]
-fn engine_variants_are_bit_identical() {
-    let scenario = &table2_scenarios()[0];
-    let mut baseline = None;
-    for transport in [TransportKind::Channel, TransportKind::Tcp] {
-        let mut cfg = tiny();
-        cfg.transport = transport;
-        let out = run_federated(scenario, &cfg);
-        match &baseline {
-            None => baseline = Some(out),
-            Some(base) => {
-                assert_eq!(
-                    base.agents[0].params(),
-                    out.agents[0].params(),
-                    "transport={transport} diverged"
-                );
-                assert_eq!(
-                    base.series, out.series,
-                    "reward series must be bit-identical"
-                );
-                assert_eq!(base.transport, out.transport);
-                assert_eq!(base.reports, out.reports);
-            }
-        }
-    }
-}
-
 /// With every fault probability at zero the generated plan is empty, and
-/// a plan-wrapped federation reproduces the unwrapped one bit-for-bit on
-/// both backends — the fault layer costs nothing when turned off.
+/// a plan-wrapped federation reproduces the unwrapped one bit-for-bit —
+/// the fault layer costs nothing when turned off.
 #[test]
 fn zero_probability_link_faults_equal_the_fault_free_run() {
     let mut fed_cfg = FedAvgConfig::paper();
     fed_cfg.rounds = 3;
     fed_cfg.steps_per_round = 30;
-    for kind in [TransportKind::Channel, TransportKind::Tcp] {
-        let plain = {
-            let mut fed = Federation::builder(agent_clients(), fed_cfg)
-                .seed(5)
-                .transport(kind)
-                .build()
-                .expect("transport links");
-            fed.run();
-            (
-                fed.global_params().to_vec(),
-                *fed.transport(),
-                fed.clients()[0].agent().params(),
-            )
-        };
-        let wrapped = {
-            let plan = FaultPlan::generate(&FaultConfig::none(), 2, 3, 77);
-            assert!(plan.is_empty(), "zero probabilities must yield no faults");
-            let mut fed = Federation::builder(agent_clients(), fed_cfg)
-                .seed(5)
-                .transport(kind)
-                .fault_plan(&plan)
-                .build()
-                .expect("transport links");
-            fed.run();
-            (
-                fed.global_params().to_vec(),
-                *fed.transport(),
-                fed.clients()[0].agent().params(),
-            )
-        };
-        assert_eq!(plain.0, wrapped.0, "{kind}: global θ must be bit-identical");
-        assert_eq!(
-            plain.1, wrapped.1,
-            "{kind}: transport accounting must match"
-        );
-        assert_eq!(plain.2, wrapped.2, "{kind}: client policies must match");
-    }
+    let plain = {
+        let mut fed = Federation::builder(agent_clients(), fed_cfg)
+            .seed(5)
+            .build()
+            .expect("transport links");
+        fed.run();
+        (
+            fed.global_params().to_vec(),
+            *fed.transport(),
+            fed.clients()[0].agent().params(),
+        )
+    };
+    let wrapped = {
+        let plan = FaultPlan::generate(&FaultConfig::none(), 2, 3, 77);
+        assert!(plan.is_empty(), "zero probabilities must yield no faults");
+        let mut fed = Federation::builder(agent_clients(), fed_cfg)
+            .seed(5)
+            .fault_plan(&plan)
+            .build()
+            .expect("transport links");
+        fed.run();
+        (
+            fed.global_params().to_vec(),
+            *fed.transport(),
+            fed.clients()[0].agent().params(),
+        )
+    };
+    assert_eq!(plain.0, wrapped.0, "global θ must be bit-identical");
+    assert_eq!(plain.1, wrapped.1, "transport accounting must match");
+    assert_eq!(plain.2, wrapped.2, "client policies must match");
 }
 
 /// Training through one persistent workspace — dirty from other clients

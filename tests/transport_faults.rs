@@ -1,7 +1,6 @@
 //! Transport-level fault injection: the same fault plans the federation
 //! originally applied at the client layer, now actuated on the encoded
-//! frames in flight by `FaultyTransport` middleware — exercised over both
-//! transport backends, which must behave identically.
+//! frames in flight by `FaultyTransport` middleware over in-process links.
 
 mod common;
 
@@ -9,7 +8,7 @@ use common::MathClient;
 use fedpower::federated::report::FaultSummary;
 use fedpower::federated::{
     CorruptionKind, Fault, FaultConfig, FaultPlan, FedAvgConfig, FederatedClient, Federation,
-    ModelUpdate, TransportKind,
+    ModelUpdate,
 };
 
 fn math_clients(n: usize) -> Vec<MathClient> {
@@ -27,11 +26,9 @@ fn fed_with(
     clients: Vec<MathClient>,
     cfg: FedAvgConfig,
     plan: &FaultPlan,
-    kind: TransportKind,
 ) -> Federation<MathClient> {
     Federation::builder(clients, cfg)
         .seed(5)
-        .transport(kind)
         .fault_plan(plan)
         .build()
         .expect("transport links")
@@ -41,32 +38,30 @@ fn fed_with(
 /// fault path used; when they exhaust it, the round is skipped bit-cleanly.
 #[test]
 fn in_flight_upload_drops_exhaust_the_retry_budget() {
-    for kind in TransportKind::ALL {
-        let mut plan = FaultPlan::none();
-        for client in 0..3 {
-            plan.insert(client, 2, Fault::UploadDrop { attempts: 10 });
-        }
-        let mut fed = fed_with(math_clients(3), config(3), &plan, kind);
-
-        let r1 = fed.run_round();
-        assert!(r1.aggregated, "{kind}");
-        let theta_after_r1 = fed.global_params().to_vec();
-
-        let r2 = fed.run_round();
-        assert!(!r2.aggregated, "{kind}: no frame survived, round skipped");
-        assert_eq!(r2.uploads_ok, 0, "{kind}");
-        assert_eq!(r2.uploads_dropped, 3, "{kind}");
-        assert_eq!(r2.upload_retries, 6, "{kind}: 2 retries spent per link");
-        assert_eq!(
-            fed.global_params(),
-            theta_after_r1.as_slice(),
-            "{kind}: skipped round must leave θ bit-identical"
-        );
-
-        let r3 = fed.run_round();
-        assert!(r3.aggregated, "{kind}: federation recovers");
-        assert_eq!(r3.uploads_ok, 3, "{kind}");
+    let mut plan = FaultPlan::none();
+    for client in 0..3 {
+        plan.insert(client, 2, Fault::UploadDrop { attempts: 10 });
     }
+    let mut fed = fed_with(math_clients(3), config(3), &plan);
+
+    let r1 = fed.run_round();
+    assert!(r1.aggregated);
+    let theta_after_r1 = fed.global_params().to_vec();
+
+    let r2 = fed.run_round();
+    assert!(!r2.aggregated, "no frame survived, round skipped");
+    assert_eq!(r2.uploads_ok, 0);
+    assert_eq!(r2.uploads_dropped, 3);
+    assert_eq!(r2.upload_retries, 6, "2 retries spent per link");
+    assert_eq!(
+        fed.global_params(),
+        theta_after_r1.as_slice(),
+        "skipped round must leave θ bit-identical"
+    );
+
+    let r3 = fed.run_round();
+    assert!(r3.aggregated, "federation recovers");
+    assert_eq!(r3.uploads_ok, 3);
 }
 
 /// A frame NaN-corrupted in flight decodes (the middleware re-frames it
@@ -74,23 +69,21 @@ fn in_flight_upload_drops_exhaust_the_retry_budget() {
 /// define the new global.
 #[test]
 fn frames_corrupted_in_flight_are_rejected_by_admission() {
-    for kind in TransportKind::ALL {
-        let mut plan = FaultPlan::none();
-        plan.insert(2, 1, Fault::Corrupt(CorruptionKind::NaN));
-        let mut fed = fed_with(math_clients(3), config(1), &plan, kind);
-        let report = fed.run_round();
-        assert_eq!(report.updates_rejected, 1, "{kind}");
-        assert_eq!(report.uploads_ok, 2, "{kind}");
-        assert!(report.aggregated, "{kind}");
-        // Honest clients 0 and 1 trained one step from 0 toward targets 1
-        // and 2: params 0.5 and 1.0, mean 0.75; the corrupt frame is out.
-        for &g in fed.global_params() {
-            assert!(g.is_finite(), "{kind}: NaN leaked into θ");
-            assert!(
-                (g - 0.75).abs() < 1e-6,
-                "{kind}: rejected frame biased the mean: {g}"
-            );
-        }
+    let mut plan = FaultPlan::none();
+    plan.insert(2, 1, Fault::Corrupt(CorruptionKind::NaN));
+    let mut fed = fed_with(math_clients(3), config(1), &plan);
+    let report = fed.run_round();
+    assert_eq!(report.updates_rejected, 1);
+    assert_eq!(report.uploads_ok, 2);
+    assert!(report.aggregated);
+    // Honest clients 0 and 1 trained one step from 0 toward targets 1
+    // and 2: params 0.5 and 1.0, mean 0.75; the corrupt frame is out.
+    for &g in fed.global_params() {
+        assert!(g.is_finite(), "NaN leaked into θ");
+        assert!(
+            (g - 0.75).abs() < 1e-6,
+            "rejected frame biased the mean: {g}"
+        );
     }
 }
 
@@ -133,44 +126,41 @@ impl FederatedClient for ScriptClient {
 /// round header carries its origin.
 #[test]
 fn frames_buffered_by_a_straggling_link_land_late_and_discounted() {
-    for kind in TransportKind::ALL {
-        let mut plan = FaultPlan::none();
-        plan.insert(1, 1, Fault::Straggle { delay_rounds: 1 });
-        let clients = vec![
-            ScriptClient {
-                id: 0,
-                round: 0.0,
-                global: vec![],
-            },
-            ScriptClient {
-                id: 1,
-                round: 0.0,
-                global: vec![],
-            },
-        ];
-        let mut fed = Federation::builder(clients, config(2))
-            .seed(5)
-            .transport(kind)
-            .fault_plan(&plan)
-            .build()
-            .expect("transport links");
+    let mut plan = FaultPlan::none();
+    plan.insert(1, 1, Fault::Straggle { delay_rounds: 1 });
+    let clients = vec![
+        ScriptClient {
+            id: 0,
+            round: 0.0,
+            global: vec![],
+        },
+        ScriptClient {
+            id: 1,
+            round: 0.0,
+            global: vec![],
+        },
+    ];
+    let mut fed = Federation::builder(clients, config(2))
+        .seed(5)
+        .fault_plan(&plan)
+        .build()
+        .expect("transport links");
 
-        // Round 1: client 1's frame is held in flight; only client 0's
-        // upload (value 1) lands.
-        let r1 = fed.run_round();
-        assert_eq!(r1.stragglers_started, 1, "{kind}");
-        assert_eq!(r1.uploads_ok, 1, "{kind}");
-        assert_eq!(r1.stale_applied, 0, "{kind}");
-        assert_eq!(fed.global_params(), &[1.0], "{kind}");
+    // Round 1: client 1's frame is held in flight; only client 0's
+    // upload (value 1) lands.
+    let r1 = fed.run_round();
+    assert_eq!(r1.stragglers_started, 1);
+    assert_eq!(r1.uploads_ok, 1);
+    assert_eq!(r1.stale_applied, 0);
+    assert_eq!(fed.global_params(), &[1.0]);
 
-        // Round 2: fresh uploads 2 and 12, plus the buffered round-1 frame
-        // (value 11) at weight 0.5¹: (2 + 12 + 0.5·11) / 2.5 = 7.8.
-        let r2 = fed.run_round();
-        assert_eq!(r2.stale_applied, 1, "{kind}");
-        assert_eq!(r2.uploads_ok, 2, "{kind}");
-        let g = fed.global_params()[0];
-        assert!((g - 7.8).abs() < 1e-5, "{kind}: expected 7.8, got {g}");
-    }
+    // Round 2: fresh uploads 2 and 12, plus the buffered round-1 frame
+    // (value 11) at weight 0.5¹: (2 + 12 + 0.5·11) / 2.5 = 7.8.
+    let r2 = fed.run_round();
+    assert_eq!(r2.stale_applied, 1);
+    assert_eq!(r2.uploads_ok, 2);
+    let g = fed.global_params()[0];
+    assert!((g - 7.8).abs() < 1e-5, "expected 7.8, got {g}");
 }
 
 /// A crashed link takes its client offline — no training, uploads, or
@@ -178,68 +168,60 @@ fn frames_buffered_by_a_straggling_link_land_late_and_discounted() {
 /// the current global model.
 #[test]
 fn link_crash_takes_the_client_offline_until_rejoin() {
-    for kind in TransportKind::ALL {
-        let mut plan = FaultPlan::none();
-        plan.insert(1, 1, Fault::Crash { down_rounds: 2 });
-        let mut fed = fed_with(math_clients(2), config(4), &plan, kind);
+    let mut plan = FaultPlan::none();
+    plan.insert(1, 1, Fault::Crash { down_rounds: 2 });
+    let mut fed = fed_with(math_clients(2), config(4), &plan);
 
-        let r1 = fed.run_round();
-        assert_eq!(r1.offline, 1, "{kind}");
-        assert_eq!(r1.participants, 1, "{kind}: only client 0 trains");
-        let _ = fed.run_round();
-        assert_eq!(
-            fed.clients()[1].downloads,
-            1,
-            "{kind}: only the join-ack landed while the link was down"
-        );
-        assert_ne!(fed.clients()[1].params, fed.global_params(), "{kind}");
+    let r1 = fed.run_round();
+    assert_eq!(r1.offline, 1);
+    assert_eq!(r1.participants, 1, "only client 0 trains");
+    let _ = fed.run_round();
+    assert_eq!(
+        fed.clients()[1].downloads,
+        1,
+        "only the join-ack landed while the link was down"
+    );
+    assert_ne!(fed.clients()[1].params, fed.global_params());
 
-        let r3 = fed.run_round();
-        assert_eq!(r3.offline, 0, "{kind}");
-        assert_eq!(r3.participants, 2, "{kind}: client 1 rejoined");
-        assert_eq!(
-            fed.clients()[1].params,
-            fed.global_params(),
-            "{kind}: rejoined client holds the current global"
-        );
-        assert_eq!(fed.clients()[1].downloads, 2, "{kind}");
-    }
+    let r3 = fed.run_round();
+    assert_eq!(r3.offline, 0);
+    assert_eq!(r3.participants, 2, "client 1 rejoined");
+    assert_eq!(
+        fed.clients()[1].params,
+        fed.global_params(),
+        "rejoined client holds the current global"
+    );
+    assert_eq!(fed.clients()[1].downloads, 2);
 }
 
 /// A broadcast frame lost in flight leaves the client on its stale model;
 /// the next round's broadcast resynchronizes it.
 #[test]
 fn broadcast_frames_dropped_in_flight_leave_the_client_stale() {
-    for kind in TransportKind::ALL {
-        let mut plan = FaultPlan::none();
-        plan.insert(1, 1, Fault::DownloadDrop);
-        let mut fed = fed_with(math_clients(2), config(2), &plan, kind);
-        let r1 = fed.run_round();
-        assert_eq!(r1.download_drops, 1, "{kind}");
-        assert_ne!(fed.clients()[1].params, fed.global_params(), "{kind}");
-        let r2 = fed.run_round();
-        assert_eq!(r2.download_drops, 0, "{kind}");
-        assert_eq!(fed.clients()[1].params, fed.global_params(), "{kind}");
-    }
+    let mut plan = FaultPlan::none();
+    plan.insert(1, 1, Fault::DownloadDrop);
+    let mut fed = fed_with(math_clients(2), config(2), &plan);
+    let r1 = fed.run_round();
+    assert_eq!(r1.download_drops, 1);
+    assert_ne!(fed.clients()[1].params, fed.global_params());
+    let r2 = fed.run_round();
+    assert_eq!(r2.download_drops, 0);
+    assert_eq!(fed.clients()[1].params, fed.global_params());
 }
 
-/// The chaos scenario on the links is seed-deterministic, and the TCP
-/// backend actuates the identical plan to the bit-identical effect.
+/// The chaos scenario on the links is seed-deterministic.
 #[test]
-fn chaotic_link_faults_are_deterministic_across_backends() {
-    let run = |kind| {
+fn chaotic_link_faults_are_seed_deterministic() {
+    let run = || {
         let plan = FaultPlan::generate(&FaultConfig::chaos(), 4, 20, 7);
-        let mut fed = fed_with(math_clients(4), config(20), &plan, kind);
+        let mut fed = fed_with(math_clients(4), config(20), &plan);
         let reports = fed.run();
         (fed.global_params().to_vec(), reports)
     };
-    let (g1, r1) = run(TransportKind::Channel);
-    let (g2, r2) = run(TransportKind::Channel);
+    let (g1, r1) = run();
+    let (g2, r2) = run();
     assert_eq!(g1, g2, "same plan seed must reproduce θ bit-for-bit");
     assert_eq!(r1, r2);
-    let (g3, r3) = run(TransportKind::Tcp);
-    assert_eq!(g1, g3, "fault actuation must not depend on the backend");
-    assert_eq!(r1, r3);
     for &g in &g1 {
         assert!(g.is_finite(), "chaos leaked NaN into θ");
     }

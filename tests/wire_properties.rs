@@ -1,10 +1,34 @@
 //! Property-based tests for the federation wire protocol: envelopes
 //! roundtrip losslessly and any single-bit corruption is rejected.
 
+use fedpower::wire::stream::{prefix_frame, read_frame, FrameReassembler};
 use fedpower::wire::{
     broadcast_frame_len, upload_frame_len, Codec, CodedUpdate, Envelope, WireError, VERSION,
 };
 use proptest::prelude::*;
+use std::collections::VecDeque;
+use std::io::{self, ErrorKind, Read};
+
+/// A reader replaying a script of byte chunks, where `None` is a read
+/// timeout (`WouldBlock`) and an exhausted script is end of stream.
+struct ScriptedReader(VecDeque<Option<Vec<u8>>>);
+
+impl Read for ScriptedReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self.0.pop_front() {
+            None => Ok(0),
+            Some(None) => Err(ErrorKind::WouldBlock.into()),
+            Some(Some(mut chunk)) => {
+                let n = chunk.len().min(buf.len());
+                buf[..n].copy_from_slice(&chunk[..n]);
+                if n < chunk.len() {
+                    self.0.push_front(Some(chunk.split_off(n)));
+                }
+                Ok(n)
+            }
+        }
+    }
+}
 
 proptest! {
     /// Any finite parameter vector survives encode → decode bit-for-bit,
@@ -46,6 +70,27 @@ proptest! {
             "flipped bit {} went undetected",
             bit
         );
+    }
+
+    /// A read timeout anywhere inside a frame leaves `read_frame` able to
+    /// resume: the bytes that arrived stay in the reassembler, so the next
+    /// calls return that frame and the one after it intact.
+    #[test]
+    fn a_read_timeout_mid_frame_resumes_without_desync(
+        first in prop::collection::vec(0_u8..=255, 0..512),
+        second in prop::collection::vec(0_u8..=255, 0..64),
+        cut in 0_usize..1_000_000,
+    ) {
+        let mut head = prefix_frame(&first);
+        // Cut strictly inside the first frame, length prefix included.
+        let mut tail = head.split_off(1 + cut % (head.len() - 1));
+        tail.extend_from_slice(&prefix_frame(&second));
+        let mut reader = ScriptedReader(VecDeque::from([Some(head), None, Some(tail)]));
+        let mut reasm = FrameReassembler::new();
+        let mut next = || read_frame(&mut reader, &mut reasm).map_err(|e| e.kind());
+        prop_assert_eq!(next(), Err(ErrorKind::WouldBlock));
+        prop_assert_eq!(next(), Ok(first));
+        prop_assert_eq!(next(), Ok(second));
     }
 
     /// Truncating a frame at any point short of its full length fails to
