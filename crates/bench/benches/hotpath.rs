@@ -34,9 +34,9 @@
 //! (`train_steps_per_sec`, `round_steps_per_sec`, `env_steps_per_sec`,
 //! `eval_steps_per_sec`, `fleet_clients_per_sec`, `fedadam_round_commits_per_sec`,
 //! `encode_decode_updates_per_sec`) and lower-is-better metrics
-//! (`ns_per_forward`, `ns_per_forward_simd`, `bytes_per_round_*` — each
-//! gated only when the baseline has it) against the baseline JSON and
-//! exits nonzero on a regression of more than 30 % — the CI smoke gate.
+//! (`ns_per_forward`, `bytes_per_round_*` — each gated only when the
+//! baseline has it) against the baseline JSON and exits nonzero on a
+//! regression of more than 30 % — the CI smoke gate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -105,7 +105,6 @@ fn measure(window: Duration, mut step: impl FnMut()) -> (u64, f64) {
 
 struct Results {
     ns_per_forward: f64,
-    ns_per_forward_simd: Option<f64>,
     train_steps_per_sec: f64,
     round_steps_per_sec: f64,
     env_steps_per_sec: f64,
@@ -122,15 +121,8 @@ struct Results {
 
 impl Results {
     fn to_json(&self) -> String {
-        // `ns_per_forward_simd` is present only when the binary was built
-        // with the `simd` feature on hardware that has the AVX2 path, so
-        // the scalar-config baseline stays comparable.
-        let simd_line = match self.ns_per_forward_simd {
-            Some(ns) => format!("  \"ns_per_forward_simd\": {ns:.1},\n"),
-            None => String::new(),
-        };
         format!(
-            "{{\n  \"ns_per_forward\": {:.1},\n{simd_line}  \"train_steps_per_sec\": {:.1},\n  \
+            "{{\n  \"ns_per_forward\": {:.1},\n  \"train_steps_per_sec\": {:.1},\n  \
              \"round_steps_per_sec\": {:.1},\n  \"env_steps_per_sec\": {:.1},\n  \
              \"eval_steps_per_sec\": {:.1},\n  \
              \"fleet_clients_per_sec\": {:.1},\n  \
@@ -251,33 +243,12 @@ fn main() {
         std::hint::black_box(net.forward_with(&x, &mut fwd).expect("valid input"));
     });
 
-    eprintln!("measuring forward_with ({window:?} window, scalar kernels)...");
-    fedpower_nn::set_simd_enabled(false);
+    eprintln!("measuring forward_with ({window:?} window)...");
     let (fwd_iters, fwd_secs) = measure(window, || {
         let q = net.forward_with(&x, &mut fwd).expect("valid input");
         std::hint::black_box(q[0]);
     });
     let ns_per_forward = fwd_secs * 1e9 / fwd_iters as f64;
-
-    // Re-enable runtime dispatch; when the `simd` feature is compiled in
-    // and the CPU has AVX2 this measures the explicit-kernel forward, and
-    // every later section (train, rounds, fleet) runs on the same path the
-    // gate is checking for that feature configuration.
-    let ns_per_forward_simd = if fedpower_nn::set_simd_enabled(true) {
-        eprintln!("measuring forward_with (explicit AVX2 kernels)...");
-        let (iters, secs) = measure(window, || {
-            let q = net.forward_with(&x, &mut fwd).expect("valid input");
-            std::hint::black_box(q[0]);
-        });
-        let ns = secs * 1e9 / iters as f64;
-        eprintln!(
-            "forward: scalar {ns_per_forward:.1} ns vs simd {ns:.1} ns ({:.2}x)",
-            ns_per_forward / ns
-        );
-        Some(ns)
-    } else {
-        None
-    };
 
     eprintln!("measuring train_batch_with (batch {batch_size})...");
     ALLOCS.store(0, Ordering::SeqCst);
@@ -448,7 +419,6 @@ fn main() {
 
     let results = Results {
         ns_per_forward,
-        ns_per_forward_simd,
         train_steps_per_sec,
         round_steps_per_sec,
         env_steps_per_sec,
@@ -496,15 +466,13 @@ fn main() {
             }
         }
         // Latency and byte keys gate in the opposite direction — lower is
-        // better. `ns_per_forward_simd` exists only in simd-feature runs
-        // on AVX2 hardware, and the byte keys only once a codec-aware
-        // baseline is committed, so each gates only when both sides have
-        // it. (The byte keys are deterministic framed lengths — any drift
-        // at all is a wire-format change, but the same 30 % gate keeps the
-        // mechanics uniform; the hard ratio contract is asserted above.)
+        // better. The byte keys exist only once a codec-aware baseline is
+        // committed, so each gates only when both sides have it. (The byte
+        // keys are deterministic framed lengths — any drift at all is a
+        // wire-format change, but the same 30 % gate keeps the mechanics
+        // uniform; the hard ratio contract is asserted above.)
         for (key, unit) in [
             ("ns_per_forward", "ns"),
-            ("ns_per_forward_simd", "ns"),
             ("bytes_per_round_dense", "B"),
             ("bytes_per_round_q8", "B"),
             ("bytes_per_round_topk", "B"),

@@ -17,7 +17,8 @@
 //!
 //! 1. A client connects and sends a join request naming its slot. A
 //!    request for a slot another connection holds is refused by closing
-//!    the newcomer.
+//!    the newcomer, and so is a second join on a connection that already
+//!    holds a slot.
 //! 2. The server replies with a join ack carrying `(rounds_completed, θ)`
 //!    — a freshly started experiment acks round 0, a restarted server
 //!    acks wherever its checkpoint left off.
@@ -45,11 +46,13 @@
 //! (atomic temp-file + rename, CRC-sealed — see
 //! [`fedpower_wire::checkpoint`]). Checkpoints are taken at *round
 //! boundaries only*: a server killed mid-round restarts from the last
-//! boundary and replays the interrupted round. Clients cache their last
-//! trained upload per round, so a replayed round re-admits the *same*
-//! updates — and because streaming aggregation is admission-order
-//! independent ([`crate::ExactSum`]), the replayed commit is
-//! bit-identical to the one the crash destroyed.
+//! boundary and replays the interrupted round. Round `r` is broadcast
+//! before it is checkpointed, so a client may already have trained
+//! `r + 1` when a restarted server replays `r`. Clients therefore keep
+//! the upload frames of the last two rounds they trained, and a replayed
+//! round re-admits the *same* bytes — and because streaming aggregation
+//! is admission-order independent ([`crate::ExactSum`]), the replayed
+//! commit is bit-identical to the one the crash destroyed.
 
 use crate::client::FederatedClient;
 use crate::engine::{EnginePolicy, Frame, RoundEngine};
@@ -312,6 +315,9 @@ pub fn serve_on(
                 continue;
             }
             if let Some(slot) = conn.slot.take() {
+                // Its parked uploads leave with it: whoever holds the
+                // slot next must not be credited with them.
+                parked.retain(|&(s, _)| s != slot);
                 let open = engine.open_round();
                 if open.is_some() && engine.upload_pending(slot) {
                     engine.handle(Frame::Offline { client: slot }, recorder);
@@ -426,7 +432,9 @@ fn handle_frame(
             // A slot held by a live connection is not up for grabs: the
             // newcomer is closed before any ack or engine frame. A client
             // reconnecting before its old connection was reaped retries.
-            if slot >= engine.client_count() || engine.joined(slot) {
+            // A connection holds at most one slot, since only its last
+            // one would be reaped when it closes.
+            if conn.slot.is_some() || slot >= engine.client_count() || engine.joined(slot) {
                 return false;
             }
             let ack = wire::encode_join_ack_at(engine.rounds_run(), slot, engine.global());
@@ -603,10 +611,13 @@ impl JoinOptions {
 /// model it installed.
 ///
 /// Survives server restarts: on any connection failure the client
-/// re-joins (within `opts.reconnect`), and its last trained upload is
-/// cached per round so a replayed round re-submits the *same* update
-/// instead of training twice — the property the checkpointed-resume
-/// bit-identity guarantee rests on.
+/// re-joins (within `opts.reconnect`). The upload frames of the last two
+/// rounds it trained are cached, so a replayed round re-submits the
+/// *same* bytes instead of training twice — the property the
+/// checkpointed-resume bit-identity guarantee rests on. Two rounds
+/// suffice: a server killed between broadcasting round `r` and
+/// checkpointing it replays `r`, and this client can have trained at most
+/// `r + 1` by then.
 ///
 /// # Errors
 ///
@@ -619,7 +630,9 @@ pub fn run_client<C: FederatedClient>(
     client: &mut C,
 ) -> Result<Vec<f32>, FedError> {
     let slot = client.id();
-    let mut cached: Option<(u64, Vec<u8>)> = None;
+    // The last trained frame per round parity: rounds r and r + 1 never
+    // share an entry.
+    let mut cached: [Option<(u64, Vec<u8>)>; 2] = [None, None];
     'sessions: loop {
         let mut stream = connect_retry(&opts.addr, opts.reconnect, opts.read_timeout)?;
         let mut reasm = FrameReassembler::new();
@@ -651,7 +664,8 @@ pub fn run_client<C: FederatedClient>(
         let mut reference = (completed, global);
         loop {
             let round = completed + 1;
-            let frame = match &cached {
+            let entry = &mut cached[(round % 2) as usize];
+            let frame = match entry {
                 Some((r, f)) if *r == round => f.clone(),
                 _ => {
                     client.begin_round(round);
@@ -663,7 +677,7 @@ pub fn run_client<C: FederatedClient>(
                         &update,
                         Some((reference.0, reference.1.as_slice())),
                     );
-                    cached = Some((round, f.clone()));
+                    *entry = Some((round, f.clone()));
                     f
                 }
             };

@@ -11,8 +11,8 @@ use fedpower_federated::{
     Federation, JoinOptions, ModelUpdate, ServeOptions,
 };
 use fedpower_telemetry::{Event, EventKind, MemoryRecorder, Recorder};
-use fedpower_wire::stream::{prefix_frame, FrameReassembler};
-use fedpower_wire::Envelope;
+use fedpower_wire::stream::{prefix_frame, read_frame, FrameReassembler};
+use fedpower_wire::{Envelope, MsgKind};
 use fedpower_workloads::AppId;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -390,6 +390,177 @@ fn a_join_for_a_held_slot_is_refused() {
         .filter(|e| e.kind == EventKind::ClientJoined && e.client == Some(0))
         .count();
     assert_eq!(slot0_joins, 1, "slot 0 joins once");
+}
+
+/// A connection that holds a slot and sends a second join request is
+/// closed instead of being acked for another slot. Its first slot is
+/// released with it, so a fresh connection can claim that slot and the
+/// round completes.
+#[test]
+fn a_second_join_on_a_joined_connection_is_refused() {
+    let dim = 4;
+    let (listener, addr) = bind();
+    let opts = ServeOptions::new(2, small_config(1), vec![0.25; dim]);
+    let recorder = MemoryRecorder::new();
+    let server = {
+        let opts = opts.clone();
+        let mut rec = recorder.clone();
+        thread::spawn(move || serve_on(listener, &opts, &mut rec).expect("serve"))
+    };
+    let frame = |client: usize| {
+        let update = ModelUpdate {
+            client_id: client,
+            params: vec![1.0 + client as f32; dim],
+            num_samples: 20,
+        };
+        fedwire::encode_upload_with(Codec::Dense32, 1, &update, None)
+    };
+
+    let (mut greedy, ack) = Scripted::join(&addr, 0);
+    assert_eq!(ack.round, 0);
+    greedy.send(&Envelope::join_request(1).encode());
+    let mut byte = [0u8; 1];
+    assert!(
+        matches!(greedy.stream.read(&mut byte), Ok(0)),
+        "a second join on a joined connection must read EOF, not a second ack"
+    );
+    drop(greedy);
+
+    let (mut fresh, ack) = Scripted::join(&addr, 0);
+    assert_eq!(
+        ack.round, 0,
+        "slot 0 was released with the closed connection"
+    );
+    let (mut other, _) = Scripted::join(&addr, 1);
+    fresh.send(&frame(0));
+    other.send(&frame(1));
+    assert_eq!(fresh.recv().round, 1);
+    assert_eq!(other.recv().round, 1);
+
+    let report = server.join().unwrap();
+    assert_eq!(report.rounds_committed, 1);
+    let churn: Vec<(EventKind, Option<usize>)> = recorder
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::ClientJoined | EventKind::ClientLeft))
+        .map(|e| (e.kind, e.client))
+        .collect();
+    assert_eq!(
+        churn,
+        vec![
+            (EventKind::ClientJoined, Some(0)),
+            (EventKind::ClientLeft, Some(0)),
+            (EventKind::ClientJoined, Some(0)),
+            (EventKind::ClientJoined, Some(1)),
+        ]
+    );
+}
+
+/// An upload parked before its round opens leaves with its connection: a
+/// client that takes over the slot is credited with its own upload, not
+/// the departed client's.
+#[test]
+fn a_parked_upload_is_dropped_when_its_connection_closes() {
+    let dim = 4;
+    let (listener, addr) = bind();
+    let opts = ServeOptions::new(2, small_config(1), vec![0.25; dim]);
+    let server = {
+        let opts = opts.clone();
+        thread::spawn(move || {
+            let mut rec = fedpower_telemetry::NullRecorder;
+            serve_on(listener, &opts, &mut rec).expect("serve")
+        })
+    };
+    let frame = |client: usize, value: f32| {
+        let update = ModelUpdate {
+            client_id: client,
+            params: vec![value; dim],
+            num_samples: 20,
+        };
+        fedwire::encode_upload_with(Codec::Dense32, 1, &update, None)
+    };
+
+    // Round 1 opens only once both slots have joined, so A's upload is
+    // parked; then A leaves.
+    let (mut a, _) = Scripted::join(&addr, 0);
+    a.send(&frame(0, 100.0));
+    settle();
+    drop(a);
+    settle();
+
+    let (mut c, _) = Scripted::join(&addr, 0);
+    let (mut b, _) = Scripted::join(&addr, 1);
+    c.send(&frame(0, 1.0));
+    b.send(&frame(1, 3.0));
+    assert_eq!(c.recv().round, 1);
+    assert_eq!(b.recv().round, 1);
+
+    let report = server.join().unwrap();
+    assert_eq!(
+        report.global,
+        vec![2.0; dim],
+        "the round must average C's and B's uploads, not A's parked one"
+    );
+}
+
+/// A server killed after broadcasting round r but before checkpointing it
+/// replays round r, while the client may already have trained round
+/// r + 1. A scripted server plays both incarnations: the first acks
+/// round 0, takes the round-1 upload, broadcasts θ₁, takes the round-2
+/// upload and closes; the second acks round 0 again, as a restart from
+/// the round-0 checkpoint would. The client must re-send the bytes of
+/// both rounds' first runs.
+#[test]
+fn a_replayed_round_resends_the_bytes_of_its_first_run() {
+    let (listener, addr) = bind();
+    let config = small_config(2);
+    let dim = agent(0, AppId::Fft, 1).upload().params.len();
+    let theta = |v: f32| vec![v; dim];
+    let client = {
+        let join = JoinOptions::new(addr, &config);
+        thread::spawn(move || {
+            let mut client = agent(0, AppId::Fft, 1);
+            run_client(&join, &mut client).expect("client")
+        })
+    };
+
+    // One server incarnation: accept, take the join request, ack round 0.
+    let accept = || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let mut reasm = FrameReassembler::new();
+        let join = read_frame(&mut stream, &mut reasm).expect("join request");
+        assert_eq!(
+            Envelope::decode(&join).expect("decode").kind(),
+            MsgKind::JoinRequest
+        );
+        let ack = fedwire::encode_join_ack_at(0, 0, &theta(0.0));
+        stream.write_all(&prefix_frame(&ack)).expect("ack");
+        (stream, reasm)
+    };
+    let send = |stream: &mut TcpStream, frame: &[u8]| {
+        stream.write_all(&prefix_frame(frame)).expect("send");
+    };
+
+    let (mut first, mut reasm) = accept();
+    let round1 = read_frame(&mut first, &mut reasm).expect("round-1 upload");
+    assert_eq!(Envelope::decode(&round1).expect("decode").round, 1);
+    send(&mut first, &fedwire::encode_broadcast(1, 0, &theta(0.1)));
+    let round2 = read_frame(&mut first, &mut reasm).expect("round-2 upload");
+    assert_eq!(Envelope::decode(&round2).expect("decode").round, 2);
+    drop(first);
+
+    let (mut second, mut reasm) = accept();
+    let replayed1 = read_frame(&mut second, &mut reasm).expect("replayed round-1 upload");
+    assert!(replayed1 == round1, "the replayed round-1 frame differs");
+    send(&mut second, &fedwire::encode_broadcast(1, 0, &theta(0.1)));
+    let replayed2 = read_frame(&mut second, &mut reasm).expect("replayed round-2 upload");
+    assert!(replayed2 == round2, "the replayed round-2 frame differs");
+    send(&mut second, &fedwire::encode_broadcast(2, 0, &theta(0.2)));
+
+    assert_eq!(client.join().unwrap(), theta(0.2));
 }
 
 /// A peer that sends a join request and then never reads cannot stall

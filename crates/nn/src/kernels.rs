@@ -1,98 +1,40 @@
-//! SIMD-width-aware compute kernels behind the [`Matrix`](crate::Matrix)
+//! Lane-width-aware compute kernels behind the [`Matrix`](crate::Matrix)
 //! products.
 //!
-//! Every kernel comes in two forms:
+//! Each kernel is written as fixed-width ([`LANES`]-wide) chunked and
+//! unrolled loops with the per-block accumulators held in locals — the
+//! shape the autovectorizer keeps (a straight 8-lane multiply–add over
+//! `[f32; 8]` blocks) — in safe code with no target-specific intrinsics.
 //!
-//! * a **scalar** form written as fixed-width ([`LANES`]-wide) chunked and
-//!   unrolled loops with the per-block accumulators held in locals — the
-//!   shape the autovectorizer provably keeps (a straight 8-lane
-//!   multiply–add over `[f32; 8]` blocks), and the only form compiled
-//!   without the `simd` feature;
-//! * an **explicit `core::arch` x86_64 path** (AVX2, behind the `simd`
-//!   cargo feature, selected at runtime via [`simd_active`]) for the same
-//!   loops.
-//!
-//! The bit-identity contract follows the summation order of each kernel:
+//! Every kernel pins its summation order, which the workspace's
+//! bit-identity tests depend on:
 //!
 //! * [`matmul`] and [`t_matmul`] accumulate every output element
-//!   independently in k-order from 0.0 (the axpy form), so vectorizing
-//!   over the *output* dimension preserves each element's exact sequence
-//!   of f32 rounds. The AVX2 path deliberately uses separate
-//!   multiply-then-add (never FMA, which fuses the intermediate round),
-//!   making it **bit-identical** to the scalar form.
-//! * [`dot`] (and [`matmul_t`], which is a dot per output element) is a
-//!   single serial reduction; any vectorization splits it into per-lane
-//!   partial sums and therefore **reorders the summation**. The AVX2 dot
-//!   uses four FMA accumulators and is only guaranteed equal to the
-//!   scalar fold within relative tolerance (property-tested at ≤1e-6).
-//!
-//! Callers that need the scalar result under a `simd` build (benches
-//! measuring both paths, equivalence tests) flip [`set_simd_enabled`].
+//!   independently in k-order from 0.0 (the axpy form). Chunking over the
+//!   *output* dimension keeps each element's exact sequence of f32
+//!   rounds, so both are bit-identical to the naive triple loop.
+//! * [`dot`] (and [`matmul_t`], which is a dot per output element) folds
+//!   strictly left to right, one serial reduction per element.
 
-/// f32 lanes per SIMD register on the AVX2 path; the scalar forms chunk
-/// and unroll to the same width so both paths walk identical blocks.
+/// f32 lanes per chunk: the kernels chunk and unroll their column loops
+/// to this width.
 pub const LANES: usize = 8;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use std::sync::atomic::{AtomicBool, Ordering};
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Whether the explicit SIMD path will serve the next kernel call:
-/// the `simd` feature is compiled in, the CPU reports AVX2, and
-/// [`set_simd_enabled`] has not forced the scalar form.
-#[inline]
+/// Always `false`: there is one kernel path, and it is the lane-chunked
+/// safe code in this module. Kept so host reports that print the flag
+/// still build.
 pub fn simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        !FORCE_SCALAR.load(Ordering::Relaxed) && std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
-
-/// Forces the scalar kernels (`enabled = false`) or restores runtime
-/// dispatch (`enabled = true`) process-wide, returning [`simd_active`]
-/// afterwards. A no-op returning `false` when the `simd` feature is off —
-/// the scalar forms are the only kernels compiled. Used by the hotpath
-/// bench to measure `ns_per_forward` and `ns_per_forward_simd` from one
-/// binary, and by the equivalence tests.
-pub fn set_simd_enabled(enabled: bool) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        FORCE_SCALAR.store(!enabled, Ordering::Relaxed);
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        let _ = enabled;
-    }
-    simd_active()
+    false
 }
 
 /// `C (m×n) = A (m×k) · B (k×n)`, row-major, `c` fully overwritten.
 ///
 /// Each output element is `Σ_t a[i][t]·b[t][j]` accumulated in t-order
-/// from 0.0 — the axpy order — on both paths (bit-identical dispatch).
-#[cfg_attr(feature = "simd", allow(unsafe_code))]
+/// from 0.0 — the axpy order.
 pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        for (i, crow) in c.chunks_exact_mut(n.max(1)).take(m).enumerate() {
-            // SAFETY: AVX2 availability was checked by `simd_active`.
-            unsafe { x86::row_times_matrix_avx2(&a[i * k..], 1, b, crow, k) };
-        }
-        return;
-    }
-    matmul_scalar(a, b, c, m, k, n)
-}
-
-fn matmul_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     for (i, crow) in c.chunks_exact_mut(n.max(1)).take(m).enumerate() {
         row_times_matrix(&a[i * k..], 1, b, crow, k);
     }
@@ -100,33 +42,20 @@ fn matmul_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
 
 /// `C (m×n) = Aᵀ · B` for row-major `A (k×m)` and `B (k×n)`, `c` fully
 /// overwritten. Same per-element t-order accumulation as [`matmul`]
-/// (coefficients walk a column of `A`), so dispatch is bit-identical.
-#[cfg_attr(feature = "simd", allow(unsafe_code))]
+/// (coefficients walk a column of `A`), so it is bit-identical to
+/// [`matmul`] on an explicit transpose.
 pub fn t_matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        for (i, crow) in c.chunks_exact_mut(n.max(1)).take(m).enumerate() {
-            // SAFETY: AVX2 availability was checked by `simd_active`.
-            unsafe { x86::row_times_matrix_avx2(&a[i..], m, b, crow, k) };
-        }
-        return;
-    }
-    t_matmul_scalar(a, b, c, m, k, n)
-}
-
-fn t_matmul_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     for (i, crow) in c.chunks_exact_mut(n.max(1)).take(m).enumerate() {
         row_times_matrix(&a[i..], m, b, crow, k);
     }
 }
 
 /// `C (m×p) = A (m×k) · Bᵀ` for row-major `B (p×k)`, `c` fully
-/// overwritten. Every element is a [`dot`] — the reduction path, equal
-/// across dispatch only within tolerance (see the module docs).
-#[cfg_attr(feature = "simd", allow(unsafe_code))]
+/// overwritten. Every element is a [`dot`] of a row of `A` with a row of
+/// `B`.
 pub fn matmul_t(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, p: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), p * k);
@@ -137,51 +66,30 @@ pub fn matmul_t(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, p: usiz
         c.fill(0.0);
         return;
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        for (i, crow) in c.chunks_exact_mut(p.max(1)).take(m).enumerate() {
-            let arow = &a[i * k..(i + 1) * k];
-            for (cv, brow) in crow.iter_mut().zip(b.chunks_exact(k.max(1)).take(p)) {
-                // SAFETY: AVX2+FMA availability was checked by `simd_active`.
-                *cv = unsafe { x86::dot_avx2(arow, brow) };
-            }
-        }
-        return;
-    }
-    matmul_t_scalar(a, b, c, m, k, p)
-}
-
-fn matmul_t_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, p: usize) {
     for (i, crow) in c.chunks_exact_mut(p.max(1)).take(m).enumerate() {
         let arow = &a[i * k..(i + 1) * k];
-        for (cv, brow) in crow.iter_mut().zip(b.chunks_exact(k.max(1)).take(p)) {
-            *cv = dot_scalar(arow, brow);
+        for (cv, brow) in crow.iter_mut().zip(b.chunks_exact(k).take(p)) {
+            *cv = dot(arow, brow);
         }
     }
 }
 
-/// Dot product of two equal-length slices.
-///
-/// The scalar form folds strictly left to right (the order the rest of
-/// the workspace pins in bit-identity tests); the AVX2 form reorders into
-/// four FMA partial sums. Dispatch is therefore a tolerance path.
-#[cfg_attr(feature = "simd", allow(unsafe_code))]
+/// Dot product of two equal-length slices, folded strictly left to right
+/// (the order the rest of the workspace pins in bit-identity tests).
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        // SAFETY: AVX2+FMA availability was checked by `simd_active`.
-        return unsafe { x86::dot_avx2(a, b) };
-    }
-    dot_scalar(a, b)
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| x * y)
+        .fold(0.0, |s, v| s + v)
 }
 
 /// One output row of [`matmul`]/[`t_matmul`]:
 /// `crow[j] = Σ_{t<k} coeffs[t·stride] · b[t·n + j]` with `n = crow.len()`,
 /// accumulated in t-order from 0.0.
 ///
-/// The scalar kernel: [`LANES`]-wide column blocks whose accumulators live
-/// in a `[f32; LANES]` local across the whole t-loop — a fixed-width
+/// [`LANES`]-wide column blocks whose accumulators live in a
+/// `[f32; LANES]` local across the whole t-loop — a fixed-width
 /// multiply–add the autovectorizer maps straight onto vector registers,
 /// and each element still sees the exact scalar summation order.
 fn row_times_matrix(coeffs: &[f32], stride: usize, b: &[f32], crow: &mut [f32], k: usize) {
@@ -209,202 +117,6 @@ fn row_times_matrix(coeffs: &[f32], stride: usize, b: &[f32], crow: &mut [f32], 
         for (c, &bv) in ctail.iter_mut().zip(btail) {
             *c += a * bv;
         }
-    }
-}
-
-/// Strict left-to-right serial dot — the order-preserving reference.
-fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| x * y)
-        .fold(0.0, |s, v| s + v)
-}
-
-/// Explicit AVX2 kernels. Compiled only under the `simd` feature on
-/// x86_64; every entry point is `unsafe` because it requires the caller
-/// to have verified AVX2 (+FMA for [`x86::dot_avx2`]) support — which
-/// [`simd_active`] does before any dispatch.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-pub(crate) mod x86 {
-    use super::LANES;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_castps256_ps128, _mm256_cmpgt_epi32, _mm256_extractf128_ps,
-        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_mul_ps,
-        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps,
-        _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_movehl_ps, _mm_shuffle_ps,
-    };
-
-    /// AVX2 form of [`super::row_times_matrix`]: 8-lane column blocks with
-    /// the accumulator held in a ymm register across the t-loop, using
-    /// separate multiply and add (never FMA) so every element reproduces
-    /// the scalar path's rounding sequence bit for bit. The sub-lane-width
-    /// column tail runs as one masked-lane block — lanes are independent,
-    /// so per-element summation order is unchanged there too.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn row_times_matrix_avx2(
-        coeffs: &[f32],
-        stride: usize,
-        b: &[f32],
-        crow: &mut [f32],
-        k: usize,
-    ) {
-        let n = crow.len();
-        debug_assert!(k == 0 || coeffs.len() > (k - 1) * stride);
-        debug_assert_eq!(b.len(), k * n);
-        if n == 0 {
-            return;
-        }
-        let mut j0 = 0;
-        // Paired full blocks: one coefficient broadcast per t feeds 16
-        // output columns, and the two independent accumulators overlap
-        // their multiply/add latencies.
-        while n - j0 >= 2 * LANES {
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            for t in 0..k {
-                let va = _mm256_set1_ps(coeffs[t * stride]);
-                // SAFETY: j0 + 2*LANES <= n, so both loads stay inside row t.
-                let p = unsafe { b.as_ptr().add(t * n + j0) };
-                acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, unsafe { _mm256_loadu_ps(p) }));
-                acc1 = _mm256_add_ps(
-                    acc1,
-                    _mm256_mul_ps(va, unsafe { _mm256_loadu_ps(p.add(LANES)) }),
-                );
-            }
-            // SAFETY: j0 + 2*LANES <= n = crow.len().
-            unsafe {
-                _mm256_storeu_ps(crow.as_mut_ptr().add(j0), acc0);
-                _mm256_storeu_ps(crow.as_mut_ptr().add(j0 + LANES), acc1);
-            }
-            j0 += 2 * LANES;
-        }
-        let rem = n - j0;
-        if rem == 0 {
-            return;
-        }
-        // Active-lane mask for the sub-width piece: lane l participates iff
-        // l < rem % LANES. Masked lanes never touch memory, and lanes are
-        // independent, so per-element summation order is unchanged.
-        let tail_width = (rem % LANES) as i32;
-        let mask = _mm256_cmpgt_epi32(
-            _mm256_set1_epi32(tail_width),
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        );
-        if rem >= LANES {
-            // One full block, plus the masked tail in the same k-pass when
-            // the row width is not a multiple of LANES.
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            for t in 0..k {
-                let va = _mm256_set1_ps(coeffs[t * stride]);
-                // SAFETY: j0 + LANES <= n keeps the full load in row t; the
-                // masked load touches exactly b[t*n + j0+LANES .. (t+1)*n].
-                unsafe {
-                    let p = b.as_ptr().add(t * n + j0);
-                    acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, _mm256_loadu_ps(p)));
-                    if tail_width > 0 {
-                        acc1 = _mm256_add_ps(
-                            acc1,
-                            _mm256_mul_ps(va, _mm256_maskload_ps(p.add(LANES), mask)),
-                        );
-                    }
-                }
-            }
-            // SAFETY: the full store covers crow[j0..j0+LANES]; the masked
-            // store covers exactly crow[j0+LANES..n].
-            unsafe {
-                _mm256_storeu_ps(crow.as_mut_ptr().add(j0), acc0);
-                if tail_width > 0 {
-                    _mm256_maskstore_ps(crow.as_mut_ptr().add(j0 + LANES), mask, acc1);
-                }
-            }
-        } else {
-            let mut acc = _mm256_setzero_ps();
-            for t in 0..k {
-                let va = _mm256_set1_ps(coeffs[t * stride]);
-                // SAFETY: active lanes cover exactly b[t*n + j0 .. (t+1)*n].
-                let vb = unsafe { _mm256_maskload_ps(b.as_ptr().add(t * n + j0), mask) };
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-            }
-            // SAFETY: active lanes cover exactly crow[j0..n].
-            unsafe { _mm256_maskstore_ps(crow.as_mut_ptr().add(j0), mask, acc) };
-        }
-    }
-
-    /// AVX2+FMA dot with four interleaved partial sums — the reordered
-    /// reduction (tolerance path; see the module docs).
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        let len = a.len();
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        let step = 4 * LANES;
-        let main = len / step * step;
-        let mut i = 0;
-        while i < main {
-            // SAFETY: i + 4*LANES <= len for both slices.
-            unsafe {
-                acc0 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(a.as_ptr().add(i)),
-                    _mm256_loadu_ps(b.as_ptr().add(i)),
-                    acc0,
-                );
-                acc1 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(a.as_ptr().add(i + LANES)),
-                    _mm256_loadu_ps(b.as_ptr().add(i + LANES)),
-                    acc1,
-                );
-                acc2 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(a.as_ptr().add(i + 2 * LANES)),
-                    _mm256_loadu_ps(b.as_ptr().add(i + 2 * LANES)),
-                    acc2,
-                );
-                acc3 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(a.as_ptr().add(i + 3 * LANES)),
-                    _mm256_loadu_ps(b.as_ptr().add(i + 3 * LANES)),
-                    acc3,
-                );
-            }
-            i += step;
-        }
-        let tail8 = (len - main) / LANES * LANES;
-        let mut j = main;
-        while j < main + tail8 {
-            // SAFETY: j + LANES <= len for both slices.
-            unsafe {
-                acc0 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(a.as_ptr().add(j)),
-                    _mm256_loadu_ps(b.as_ptr().add(j)),
-                    acc0,
-                );
-            }
-            j += LANES;
-        }
-        let acc = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-        // Horizontal sum of the 8 lanes.
-        let lo = _mm256_castps256_ps128(acc);
-        let hi = _mm256_extractf128_ps::<1>(acc);
-        let q = _mm_add_ps(lo, hi);
-        let h = _mm_add_ps(q, _mm_movehl_ps(q, q));
-        let s = _mm_add_ss(h, _mm_shuffle_ps::<1>(h, h));
-        let mut sum = _mm_cvtss_f32(s);
-        for t in main + tail8..len {
-            sum += a[t] * b[t];
-        }
-        sum
     }
 }
 
@@ -437,10 +149,7 @@ mod tests {
             let b = seq(k * n, 0.11);
             let mut c = vec![0.0f32; m * n];
             let oracle = matmul_oracle(&a, &b, m, k, n);
-            let was = set_simd_enabled(false);
             matmul(&a, &b, &mut c, m, k, n);
-            set_simd_enabled(true);
-            let _ = was;
             for (x, y) in c.iter().zip(&oracle) {
                 assert_eq!(x.to_bits(), y.to_bits(), "({m}x{k})·({k}x{n})");
             }
@@ -472,7 +181,7 @@ mod tests {
         let a = [1.0e8f32, 1.0, -1.0e8, 1.0];
         let b = [1.0f32, 1.0, 1.0, 1.0];
         // Left-to-right: ((1e8 + 1) + -1e8) + 1 = 1 (the +1 is absorbed).
-        assert_eq!(dot_scalar(&a, &b), 1.0);
+        assert_eq!(dot(&a, &b), 1.0);
     }
 
     #[test]

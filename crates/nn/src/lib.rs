@@ -40,11 +40,7 @@
 //! assert!(loss < 0.01, "regression should fit two points, got {loss}");
 //! ```
 
-// Without the `simd` feature the crate is entirely safe code and we keep
-// the hard guarantee; the feature's only unsafety is the `core::arch`
-// intrinsics module in `kernels`, which carries a scoped allow.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;
@@ -59,7 +55,6 @@ mod optim;
 mod workspace;
 
 pub use error::NnError;
-pub use kernels::{set_simd_enabled, simd_active};
 pub use linear::{Activation, Linear};
 pub use loss::{Huber, Loss, Mse};
 pub use matrix::Matrix;

@@ -4,9 +4,9 @@ use crate::{kernels, NnError};
 ///
 /// The networks in this workspace are tiny (the paper's policy net has 687
 /// parameters), so this type favours clarity and checked construction over
-/// raw throughput. The matrix products dispatch into the SIMD-width-aware
-/// [`kernels`](crate::kernels) module (fixed-width chunked scalar forms,
-/// plus explicit AVX2 behind the `simd` feature).
+/// raw throughput. The matrix products run on the lane-width-aware
+/// [`kernels`](crate::kernels) module (fixed-width chunked loops the
+/// autovectorizer keeps).
 ///
 /// # Example
 ///
@@ -160,7 +160,7 @@ impl Matrix {
     /// The kernel intentionally has no `a == 0.0` skip: the branch blocked
     /// autovectorization and silently turned `0 · NaN` into `0` instead of
     /// propagating the NaN. Every output element accumulates in k-order
-    /// from 0.0 ([`kernels::matmul`]), so the SIMD path is bit-identical.
+    /// from 0.0 ([`kernels::matmul`]), bit-identical to the naive loop.
     ///
     /// # Errors
     ///
@@ -199,8 +199,8 @@ impl Matrix {
     /// [`Matrix::t_matmul`] writing into caller-owned scratch; `out` is
     /// reshaped (reusing its allocation) and fully overwritten. Like
     /// [`Matrix::matmul_into`] there is deliberately no zero-skip branch,
-    /// and the same k-order accumulation ([`kernels::t_matmul`]) keeps the
-    /// SIMD path bit-identical.
+    /// and the same k-order accumulation ([`kernels::t_matmul`]) makes it
+    /// bit-identical to [`Matrix::matmul_into`] on an explicit transpose.
     ///
     /// # Errors
     ///
@@ -239,9 +239,8 @@ impl Matrix {
     /// [`Matrix::matmul_t`] writing into caller-owned scratch; `out` is
     /// reshaped (reusing its allocation) and fully overwritten.
     ///
-    /// Each output element is a serial dot reduction, so the SIMD path
-    /// ([`kernels::matmul_t`]) reorders the summation and matches the
-    /// scalar result only within tolerance — see the `kernels` module docs.
+    /// Each output element is a serial dot reduction folded left to right
+    /// ([`kernels::matmul_t`]).
     ///
     /// # Errors
     ///

@@ -1,26 +1,17 @@
-//! Kernel edge-shape and path-equivalence properties (ISSUE 8 satellite).
+//! Kernel edge-shape properties.
 //!
-//! Pins the vectorization layer's contracts on exactly the shapes a lane
-//! width gets wrong: 1×1, prime dimensions, zero-row batches, and widths
-//! straddling the 8-lane blocks. Three classes of assertion:
+//! Pins the kernels' contracts on exactly the shapes a lane width gets
+//! wrong: 1×1, prime dimensions, zero-row batches, and widths straddling
+//! the 8-lane blocks. Two classes of assertion:
 //!
-//! * scalar kernels are **bit-identical** to the seed's naive triple-loop
-//!   oracle (the chunked restructure changed no summation order);
-//! * with the `simd` feature on AVX2 hardware, `matmul`/`t_matmul` are
-//!   **bit-identical** to the scalar path (order-preserving kernels), and
-//!   `matmul_t` agrees within 1e-6 relative tolerance (reordered dot);
-//! * NaN/∞ propagate identically through both paths (`0 · NaN`, `0 · ∞`
-//!   must poison the affected output on scalar *and* SIMD kernels).
-//!
-//! Tests that flip the process-wide [`fedpower_nn::set_simd_enabled`]
-//! switch serialize on a mutex so a concurrent test never observes the
-//! scalar path while labelled as measuring SIMD.
+//! * every product is **bit-identical** to a naive oracle with the same
+//!   summation order (the chunked restructure changed no rounding):
+//!   `matmul` to the seed's axpy triple loop, `t_matmul` to that loop on
+//!   an explicit transpose, `matmul_t` to a left-to-right dot per element;
+//! * NaN/∞ propagate (`0 · NaN`, `0 · ∞` must poison the affected output).
 
-use fedpower_nn::{set_simd_enabled, simd_active, Matrix};
+use fedpower_nn::Matrix;
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-static SIMD_TOGGLE: Mutex<()> = Mutex::new(());
 
 /// Deterministic pseudo-random fill (splitmix64-ish) in roughly [-2, 2].
 fn fill(len: usize, seed: u64) -> Vec<f32> {
@@ -69,10 +60,36 @@ fn assert_bits_eq(lhs: &[f32], rhs: &[f32], what: &str) {
 /// exact multiples, one-off-a-multiple, and a couple of larger sizes.
 const EDGE_DIMS: &[usize] = &[1, 2, 3, 5, 7, 8, 9, 13, 15, 16, 17, 31, 32, 33];
 
+/// Row-major transpose of `m`.
+fn transpose(m: &Matrix) -> Matrix {
+    let mut t = Matrix::zeros(m.cols(), m.rows());
+    for i in 0..m.rows() {
+        for j in 0..m.cols() {
+            t.set(j, i, m.get(i, j));
+        }
+    }
+    t
+}
+
+/// `a · bᵀ` with every element a dot folded strictly left to right —
+/// the summation-order oracle for `matmul_t`.
+fn matmul_t_oracle(a: &Matrix, bt: &Matrix) -> Vec<f32> {
+    let (m, k, p) = (a.rows(), a.cols(), bt.rows());
+    let mut c = vec![0.0f32; m * p];
+    for i in 0..m {
+        for j in 0..p {
+            let mut s = 0.0f32;
+            for t in 0..k {
+                s += a.get(i, t) * bt.get(j, t);
+            }
+            c[i * p + j] = s;
+        }
+    }
+    c
+}
+
 proptest! {
-    /// Scalar `matmul` is bit-identical to the seed oracle on every edge
-    /// shape, including under a `simd` build with the kernels forced
-    /// scalar.
+    /// `matmul` is bit-identical to the seed oracle on every edge shape.
     #[test]
     fn scalar_matmul_matches_oracle_on_edge_shapes(
         mi in 0_usize..14, ki in 0_usize..14, ni in 0_usize..14, seed in 0_u64..1000
@@ -81,106 +98,58 @@ proptest! {
         let a = matrix(m, k, seed);
         let b = matrix(k, n, seed ^ 0xabcd);
         let oracle = matmul_oracle(&a, &b);
-        let _guard = SIMD_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-        set_simd_enabled(false);
         let c = a.matmul(&b).expect("shapes agree");
-        set_simd_enabled(true);
         assert_bits_eq(c.as_slice(), &oracle, "scalar matmul vs oracle");
     }
 
-    /// SIMD `matmul` and `t_matmul` are bit-identical to the scalar path
-    /// (order-preserving kernels). Trivially passes on non-AVX2 builds.
+    /// `t_matmul` is bit-identical to the oracle applied to an explicit
+    /// transpose, and `matmul_t` to a left-to-right dot per element, on
+    /// every edge shape.
     #[test]
-    fn simd_matmul_and_t_matmul_bit_identical_to_scalar(
+    fn t_matmul_and_matmul_t_match_oracles_on_edge_shapes(
         mi in 0_usize..14, ki in 0_usize..14, ni in 0_usize..14, seed in 0_u64..1000
     ) {
         let (m, k, n) = (EDGE_DIMS[mi], EDGE_DIMS[ki], EDGE_DIMS[ni]);
-        let a = matrix(m, k, seed);
-        let b = matrix(k, n, seed ^ 0x1234);
         let at = matrix(k, m, seed.wrapping_add(7));
-        let _guard = SIMD_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-        if !set_simd_enabled(true) {
-            return Ok(());
-        }
-        let simd_mm = a.matmul(&b).expect("shapes agree");
-        let simd_tmm = at.t_matmul(&b).expect("shapes agree");
-        set_simd_enabled(false);
-        let scalar_mm = a.matmul(&b).expect("shapes agree");
-        let scalar_tmm = at.t_matmul(&b).expect("shapes agree");
-        set_simd_enabled(true);
-        assert_bits_eq(simd_mm.as_slice(), scalar_mm.as_slice(), "matmul simd vs scalar");
-        assert_bits_eq(simd_tmm.as_slice(), scalar_tmm.as_slice(), "t_matmul simd vs scalar");
-    }
+        let b = matrix(k, n, seed ^ 0x1234);
+        let tmm = at.t_matmul(&b).expect("shapes agree");
+        assert_bits_eq(tmm.as_slice(), &matmul_oracle(&transpose(&at), &b), "t_matmul vs oracle");
 
-    /// `matmul_t` is a reordered reduction on the SIMD path: agreement with
-    /// the scalar fold is within 1e-6 of the dot's magnitude
-    /// (`Σ|aᵢ·bᵢ|`), the scale reordering error is bounded by.
-    #[test]
-    fn simd_matmul_t_within_rel_tolerance(
-        mi in 0_usize..14, ki in 0_usize..14, pi in 0_usize..14, seed in 0_u64..1000
-    ) {
-        let (m, k, p) = (EDGE_DIMS[mi], EDGE_DIMS[ki], EDGE_DIMS[pi]);
         let a = matrix(m, k, seed);
-        let bt = matrix(p, k, seed ^ 0x7777);
-        let _guard = SIMD_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-        if !set_simd_enabled(true) {
-            return Ok(());
-        }
-        let simd = a.matmul_t(&bt).expect("shapes agree");
-        set_simd_enabled(false);
-        let scalar = a.matmul_t(&bt).expect("shapes agree");
-        set_simd_enabled(true);
-        for i in 0..m {
-            for j in 0..p {
-                let magnitude: f32 = (0..k)
-                    .map(|t| (a.get(i, t) * bt.get(j, t)).abs())
-                    .sum();
-                let diff = (simd.get(i, j) - scalar.get(i, j)).abs();
-                prop_assert!(
-                    diff <= 1e-6 * magnitude.max(1.0),
-                    "matmul_t ({i},{j}): simd {} vs scalar {} (magnitude {magnitude})",
-                    simd.get(i, j), scalar.get(i, j)
-                );
-            }
-        }
+        let bt = matrix(n, k, seed ^ 0x7777);
+        let mmt = a.matmul_t(&bt).expect("shapes agree");
+        assert_bits_eq(mmt.as_slice(), &matmul_t_oracle(&a, &bt), "matmul_t vs oracle");
     }
 }
 
 #[test]
-fn zero_row_batches_are_well_formed_on_both_paths() {
-    let _guard = SIMD_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-    for enabled in [false, true] {
-        set_simd_enabled(enabled);
-        // 0×k · k×n → 0×n, and m×0 · 0×n → m×n of empty sums (all zero).
-        let empty_rows = Matrix::zeros(0, 5);
-        let b = matrix(5, 9, 3);
-        let c = empty_rows.matmul(&b).expect("0-row product is legal");
-        assert_eq!((c.rows(), c.cols()), (0, 9));
+fn zero_row_batches_are_well_formed() {
+    // 0×k · k×n → 0×n, and m×0 · 0×n → m×n of empty sums (all zero).
+    let empty_rows = Matrix::zeros(0, 5);
+    let b = matrix(5, 9, 3);
+    let c = empty_rows.matmul(&b).expect("0-row product is legal");
+    assert_eq!((c.rows(), c.cols()), (0, 9));
 
-        let a = Matrix::zeros(4, 0);
-        let b0 = Matrix::zeros(0, 3);
-        let c = a.matmul(&b0).expect("0-inner product is legal");
-        assert_eq!((c.rows(), c.cols()), (4, 3));
-        assert!(c.as_slice().iter().all(|&v| v == 0.0), "empty sums are 0");
+    let a = Matrix::zeros(4, 0);
+    let b0 = Matrix::zeros(0, 3);
+    let c = a.matmul(&b0).expect("0-inner product is legal");
+    assert_eq!((c.rows(), c.cols()), (4, 3));
+    assert!(c.as_slice().iter().all(|&v| v == 0.0), "empty sums are 0");
 
-        let c = b.t_matmul(&matrix(5, 7, 4)).expect("shapes agree");
-        assert_eq!((c.rows(), c.cols()), (9, 7));
+    let c = b.t_matmul(&matrix(5, 7, 4)).expect("shapes agree");
+    assert_eq!((c.rows(), c.cols()), (9, 7));
 
-        let bt = Matrix::zeros(6, 0);
-        let c = a.matmul_t(&bt).expect("0-inner dot product is legal");
-        assert_eq!((c.rows(), c.cols()), (4, 6));
-        assert!(c.as_slice().iter().all(|&v| v == 0.0), "empty dots are 0");
-    }
-    set_simd_enabled(true);
+    let bt = Matrix::zeros(6, 0);
+    let c = a.matmul_t(&bt).expect("0-inner dot product is legal");
+    assert_eq!((c.rows(), c.cols()), (4, 6));
+    assert!(c.as_slice().iter().all(|&v| v == 0.0), "empty dots are 0");
 }
 
 #[test]
-fn nan_and_infinity_propagate_identically_on_both_paths() {
-    let _guard = SIMD_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+fn nan_and_infinity_propagate() {
     // Poison a column that only ever meets zero coefficients: IEEE-754
-    // demands 0 · NaN = NaN and 0 · ∞ = NaN, on every path. The poisoned
-    // column sits past the 8-lane boundary so the masked/tail code is on
-    // the hook too.
+    // demands 0 · NaN = NaN and 0 · ∞ = NaN. The poisoned columns sit past
+    // the 8-lane boundary so the sub-lane tail loop is on the hook too.
     let k = 9;
     let n = 11;
     let mut a = Matrix::zeros(2, k);
@@ -195,53 +164,17 @@ fn nan_and_infinity_propagate_identically_on_both_paths() {
         at.set(t, 1, 0.5 + t as f32);
     }
 
-    // (simd active, matmul, t_matmul, matmul_t) captured per path.
-    type PathOutputs = (bool, Vec<f32>, Vec<f32>, Vec<f32>);
-    let mut outputs: Vec<PathOutputs> = Vec::new();
-    for enabled in [false, true] {
-        let active = set_simd_enabled(enabled);
-        let mm = a.matmul(&b).expect("shapes agree");
-        let tmm = at.t_matmul(&b).expect("shapes agree");
-        let mmt = a
-            .matmul_t(&matrix(4, k, 5).into_poisoned())
-            .expect("shapes agree");
-        for c in [&mm, &tmm] {
-            assert!(
-                c.get(0, 10).is_nan(),
-                "0 · NaN must stay NaN (simd={active})"
-            );
-            assert!(
-                c.get(0, 9).is_nan(),
-                "0 · ∞ must become NaN (simd={active})"
-            );
-            assert!(c.get(1, 0).is_finite(), "clean columns stay finite");
-        }
-        assert!(mmt.get(0, 0).is_nan(), "matmul_t: 0 · NaN must stay NaN");
-        outputs.push((
-            active,
-            mm.as_slice().to_vec(),
-            tmm.as_slice().to_vec(),
-            mmt.as_slice().to_vec(),
-        ));
+    let mm = a.matmul(&b).expect("shapes agree");
+    let tmm = at.t_matmul(&b).expect("shapes agree");
+    let mmt = a
+        .matmul_t(&matrix(4, k, 5).into_poisoned())
+        .expect("shapes agree");
+    for c in [&mm, &tmm] {
+        assert!(c.get(0, 10).is_nan(), "0 · NaN must stay NaN");
+        assert!(c.get(0, 9).is_nan(), "0 · ∞ must become NaN");
+        assert!(c.get(1, 0).is_finite(), "clean columns stay finite");
     }
-    set_simd_enabled(true);
-    // Order-preserving kernels must agree bit-for-bit even on poisoned
-    // inputs (NaN payloads included).
-    if outputs[1].0 {
-        assert_bits_eq(
-            &outputs[0].1,
-            &outputs[1].1,
-            "poisoned matmul scalar vs simd",
-        );
-        assert_bits_eq(
-            &outputs[0].2,
-            &outputs[1].2,
-            "poisoned t_matmul scalar vs simd",
-        );
-        for (x, y) in outputs[0].3.iter().zip(&outputs[1].3) {
-            assert_eq!(x.is_nan(), y.is_nan(), "matmul_t NaN placement must agree");
-        }
-    }
+    assert!(mmt.get(0, 0).is_nan(), "matmul_t: 0 · NaN must stay NaN");
 }
 
 /// Helper: poison element (0, 0) of a matrix with NaN behind a zero
@@ -259,31 +192,9 @@ impl Poison for Matrix {
 
 #[test]
 fn one_by_one_products_reduce_to_scalar_multiplication() {
-    let _guard = SIMD_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-    for enabled in [false, true] {
-        set_simd_enabled(enabled);
-        let a = Matrix::from_rows(1, 1, vec![3.5]).unwrap();
-        let b = Matrix::from_rows(1, 1, vec![-2.0]).unwrap();
-        assert_eq!(a.matmul(&b).unwrap().get(0, 0), -7.0);
-        assert_eq!(a.t_matmul(&b).unwrap().get(0, 0), -7.0);
-        assert_eq!(a.matmul_t(&b).unwrap().get(0, 0), -7.0);
-    }
-    set_simd_enabled(true);
-}
-
-#[test]
-fn simd_feature_reports_dispatch_state() {
-    let _guard = SIMD_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-    let enabled = set_simd_enabled(true);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        // On x86_64 hardware with AVX2 the path must actually engage;
-        // pre-AVX2 CPUs legitimately report false.
-        assert_eq!(enabled, std::arch::is_x86_feature_detected!("avx2"));
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    assert!(!enabled, "simd_active must be false without the feature");
-    assert_eq!(simd_active(), enabled);
-    assert!(!set_simd_enabled(false), "forced scalar reports inactive");
-    assert_eq!(set_simd_enabled(true), enabled);
+    let a = Matrix::from_rows(1, 1, vec![3.5]).unwrap();
+    let b = Matrix::from_rows(1, 1, vec![-2.0]).unwrap();
+    assert_eq!(a.matmul(&b).unwrap().get(0, 0), -7.0);
+    assert_eq!(a.t_matmul(&b).unwrap().get(0, 0), -7.0);
+    assert_eq!(a.matmul_t(&b).unwrap().get(0, 0), -7.0);
 }

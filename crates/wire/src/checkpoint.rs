@@ -33,9 +33,10 @@
 //! ```
 //!
 //! [`Checkpoint::save`] writes atomically (temp file + rename) so a
-//! crash mid-write leaves the previous checkpoint intact; a torn or
-//! tampered file fails [`Checkpoint::decode`]'s CRC before any field is
-//! trusted.
+//! process killed mid-write leaves the previous checkpoint intact. It
+//! does not sync, so a power loss can still lose the latest checkpoint.
+//! A torn or tampered file fails [`Checkpoint::decode`]'s CRC before any
+//! field is trusted.
 
 use crate::{crc32, encode_params, WireError};
 use std::io;
@@ -163,11 +164,13 @@ impl Checkpoint {
 
     /// Writes the checkpoint to `path` atomically: the bytes land in a
     /// sibling temp file first and are renamed over the target, so a
-    /// crash mid-write leaves any previous checkpoint intact.
+    /// process killed mid-write (SIGKILL included) leaves any previous
+    /// checkpoint intact. Nothing is synced to disk, so a power loss can
+    /// still lose the latest checkpoint or leave it empty.
     ///
     /// # Errors
     ///
-    /// Any I/O failure creating, writing, syncing, or renaming the file.
+    /// Any I/O failure creating, writing, or renaming the file.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         let tmp = path.with_extension("fpck.tmp");
         std::fs::write(&tmp, self.encode())?;
