@@ -63,8 +63,10 @@ pub struct ServeArgs {
     /// `--wait-for` — clients that must join before a round opens
     /// (default: all slots).
     pub wait_for: Option<usize>,
-    /// `--round-timeout-ms` — wall-clock round deadline, and the longest
-    /// the server waits on one frame to a peer that stopped reading.
+    /// `--round-timeout-ms` — wall-clock round deadline, the longest the
+    /// server waits on one frame to a peer that stopped reading, and the
+    /// longest a peer may stay silent before its first frame or in the
+    /// middle of one. Must be positive: `serve` rejects 0.
     pub round_timeout_ms: u64,
     /// `--halt-after` — exit cleanly after checkpointing this round.
     pub halt_after: Option<u64>,
@@ -90,7 +92,9 @@ pub struct JoinArgs {
     pub seed: u64,
     /// `--app` — workload; defaults to round-robin over the catalog by id.
     pub app: Option<AppId>,
-    /// `--reconnect-ms` — budget for (re)connecting across restarts.
+    /// `--reconnect-ms` — budget for (re)joining across restarts, from
+    /// the first attempt after the last join ack; a client with no ack
+    /// within it gives up.
     pub reconnect_ms: u64,
 }
 

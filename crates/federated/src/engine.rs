@@ -15,9 +15,10 @@
 //!   from owned clients and per-client links);
 //! * [`crate::Fleet`] — the sharded loop (edge partials merged in via
 //!   [`Frame::MergePartial`]);
-//! * the standalone `fedpower-server` binary — a nonblocking TCP
-//!   readiness loop feeding real socket frames, with [`RoundEngine::tick`]
-//!   closing out clients that miss the round deadline.
+//! * the standalone `fedpower-server` binary — one engine thread fed
+//!   real socket frames by a blocking reader thread per connection, with
+//!   [`RoundEngine::tick`] closing out clients that miss the round
+//!   deadline.
 //!
 //! The engine is *proven bit-identical* to the pre-engine drivers:
 //! `tests/engine_identity.rs` pins the CRC32 of the canonical telemetry

@@ -2,13 +2,17 @@
 //! TCP sockets driving the same sans-I/O [`RoundEngine`] the in-process
 //! drivers use.
 //!
-//! [`serve`] runs a hand-rolled *nonblocking readiness loop* — no async
-//! runtime — over one listening socket: every accepted connection gets
-//! its own [`FrameReassembler`], so partial reads never desynchronize a
-//! stream, and every complete frame becomes an engine [`Frame`]. The
-//! protocol decisions (admission, staleness weighting, quorum, commit)
-//! stay in the engine; this module owns only sockets, the wall clock,
-//! and the checkpoint file.
+//! [`serve`] waits on its sockets instead of polling them, with std
+//! threads and no async runtime. An acceptor thread blocks in `accept`.
+//! Every accepted connection gets a reader thread that blocks in `read`
+//! and owns the connection's [`FrameReassembler`], so partial reads
+//! never desynchronize a stream. The readers send complete frames down
+//! one channel to the engine thread. That thread alone owns the engine,
+//! the recorder, the checkpoint and every connection's write half, and
+//! turns each frame into an engine [`Frame`]. The protocol decisions
+//! (admission, staleness weighting, quorum, commit) stay in the engine;
+//! this module owns only sockets, threads, the wall clock, and the
+//! checkpoint file.
 //!
 //! # Protocol
 //!
@@ -64,14 +68,14 @@ use fedpower_wire::checkpoint::Checkpoint;
 use fedpower_wire::stream::{prefix_frame, read_frame, FrameReassembler};
 use fedpower_wire::{Envelope, MsgKind, Payload};
 use std::collections::BTreeSet;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, ErrorKind, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// How long [`serve`]'s readiness loop sleeps when a poll pass moved no
-/// bytes — long enough to stay off the CPU, short next to any round.
-const IDLE_POLL: Duration = Duration::from_micros(500);
 
 /// Configuration of one [`serve`] run.
 #[derive(Debug, Clone)]
@@ -101,8 +105,10 @@ pub struct ServeOptions {
     pub wait_for: usize,
     /// Wall-clock budget per round: when it expires the engine's
     /// deadline tick closes out still-pending clients as offline. It
-    /// also bounds each frame the server writes: a peer that stops
-    /// reading is closed once a write has waited this long.
+    /// also bounds each frame the server writes and each read: a peer
+    /// that stops reading is closed once a write has waited this long,
+    /// and so is a peer silent this long before its first frame or in
+    /// the middle of a frame. Must be positive.
     pub round_timeout: Duration,
     /// Test hook: exit cleanly right after checkpointing this round
     /// (simulates a crash at a round boundary without signal plumbing;
@@ -146,13 +152,199 @@ pub struct ServeReport {
     pub resumed_from: Option<u64>,
 }
 
-/// One accepted connection: its socket, stream reassembler, and the
-/// slot it identified as (after its join request).
+/// One accepted connection as the engine thread sees it: the write half
+/// of its socket (its reader thread holds a clone), and the slot it
+/// identified as (after its join request).
 struct Conn {
+    id: u64,
     stream: TcpStream,
-    reasm: FrameReassembler,
     slot: Option<usize>,
     dead: bool,
+}
+
+/// What the acceptor and the readers send the engine thread.
+enum Inbound {
+    /// A new connection (numbered in accept order) and its write half.
+    Accepted(u64, TcpStream),
+    /// One complete frame from a connection.
+    Frame(u64, Vec<u8>),
+    /// A connection's reader ended: EOF, a read error, a stalled peer,
+    /// or a reader that could not be started.
+    Closed(u64),
+    /// `accept` failed; the acceptor has stopped.
+    Failed(io::Error),
+}
+
+/// The engine thread's side of the network: the acceptor, the inbox
+/// every thread sends to, and the live connections. Dropping it (on
+/// every exit from [`serve_on`], a panic included) stops and joins the
+/// acceptor, which releases the listener, then shuts every accepted
+/// socket down and waits until every reader has returned.
+struct Sockets {
+    inbox: Receiver<Inbound>,
+    conns: Vec<Conn>,
+    stop: Arc<AtomicBool>,
+    /// An address that reaches the listener, to wake the acceptor.
+    wake: SocketAddr,
+    acceptor: Option<JoinHandle<()>>,
+}
+
+impl Sockets {
+    /// Starts the acceptor on `listener`; every connection it accepts
+    /// reads with `read_timeout`.
+    fn start(listener: TcpListener, read_timeout: Duration) -> io::Result<Sockets> {
+        listener.set_nonblocking(false)?;
+        let mut wake = listener.local_addr()?;
+        // Not every platform routes a connect to the unspecified address.
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let (tx, inbox) = mpsc::channel();
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let stop = Arc::clone(&stop);
+            thread::Builder::new()
+                .name("fedpower-accept".to_string())
+                .spawn(move || accept_loop(&listener, &tx, &stop, read_timeout))?
+        };
+        Ok(Sockets {
+            inbox,
+            conns: Vec::new(),
+            stop,
+            wake,
+            acceptor: Some(acceptor),
+        })
+    }
+
+    /// Drops the connections marked dead, in accept order. A joined
+    /// client leaving mid-round is the fault plans' Offline for this
+    /// round.
+    fn reap(
+        &mut self,
+        engine: &mut RoundEngine,
+        recorder: &mut dyn Recorder,
+        parked: &mut Vec<(usize, Vec<u8>)>,
+    ) {
+        self.conns.retain(|conn| {
+            if !conn.dead {
+                return true;
+            }
+            if let Some(slot) = conn.slot {
+                // Its parked uploads leave with it: whoever holds the
+                // slot next must not be credited with them.
+                parked.retain(|&(s, _)| s != slot);
+                let open = engine.open_round();
+                if open.is_some() && engine.upload_pending(slot) {
+                    engine.handle(Frame::Offline { client: slot }, recorder);
+                }
+                recorder.event(Event::client_scoped(
+                    EventKind::ClientLeft,
+                    open.unwrap_or_else(|| engine.rounds_run()),
+                    slot,
+                ));
+                engine.leave(slot);
+            }
+            // The reader holds a clone of the socket: the shutdown ends
+            // it, and the peer reads EOF.
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            false
+        });
+    }
+}
+
+impl Drop for Sockets {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(acceptor) = self.acceptor.take() {
+            // A connection wakes the acceptor from `accept`; it sees the
+            // flag and returns, dropping the listener. A refused connect
+            // means it has already returned.
+            let _ = TcpStream::connect(self.wake);
+            let _ = acceptor.join();
+        }
+        for conn in &self.conns {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+        // Every reader holds a sender, so the inbox disconnects once the
+        // last reader has returned. A connection accepted but not yet seen
+        // by the engine thread is shut down here, so its reader ends too.
+        for inbound in self.inbox.iter() {
+            if let Inbound::Accepted(_, stream) = inbound {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
+    }
+}
+
+/// The acceptor thread: blocks in `accept`, hands each connection's write
+/// half to the engine thread, then starts the connection's reader.
+fn accept_loop(
+    listener: &TcpListener,
+    tx: &Sender<Inbound>,
+    stop: &AtomicBool,
+    read_timeout: Duration,
+) {
+    for id in 0u64.. {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) => {
+                let _ = tx.send(Inbound::Failed(e));
+                return;
+            }
+        };
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        let Ok(reader) = stream
+            .set_read_timeout(Some(read_timeout))
+            .and_then(|()| stream.try_clone())
+        else {
+            continue;
+        };
+        if tx.send(Inbound::Accepted(id, stream)).is_err() {
+            return;
+        }
+        let frames = tx.clone();
+        let started = thread::Builder::new()
+            .name("fedpower-conn".to_string())
+            .spawn(move || read_loop(id, reader, &frames));
+        if started.is_err() {
+            let _ = tx.send(Inbound::Closed(id));
+        }
+    }
+}
+
+/// A connection's reader thread: sends each complete frame to the engine
+/// thread, and `Closed` once the connection ends. A read timeout ends it
+/// too, unless the peer has sent a frame and is between frames: a joined
+/// client may be silent for longer than a round, while it waits for the
+/// quorum, but a peer silent before its first frame, or stalled in the
+/// middle of one, is closed.
+fn read_loop(id: u64, mut stream: TcpStream, tx: &Sender<Inbound>) {
+    let mut reasm = FrameReassembler::new();
+    let mut framed = false;
+    loop {
+        match read_frame(&mut stream, &mut reasm) {
+            Ok(frame) => {
+                framed = true;
+                if tx.send(Inbound::Frame(id, frame)).is_err() {
+                    return;
+                }
+            }
+            Err(e) => {
+                let timed_out = matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
+                let idle = timed_out && framed && reasm.buffered() == 0;
+                if !idle && e.kind() != ErrorKind::Interrupted {
+                    break;
+                }
+            }
+        }
+    }
+    let _ = tx.send(Inbound::Closed(id));
 }
 
 /// Per-round driver state the engine deliberately does not own: which
@@ -171,11 +363,12 @@ struct RoundLedger {
 ///
 /// # Errors
 ///
-/// [`FedError::Io`] when the listener cannot bind or a checkpoint
-/// cannot be written/restored; [`FedError::InvalidConfig`] when there
-/// are no client slots, [`RoundEngine::new`] rejects the initial model
-/// or policy, or a restored checkpoint disagrees with the
-/// configuration. Individual connection failures are *not* errors —
+/// [`FedError::Io`] when the listener cannot bind or accept, its
+/// acceptor thread cannot be started, or a checkpoint cannot be
+/// written/restored; [`FedError::InvalidConfig`] when there are no
+/// client slots, the round timeout is zero, [`RoundEngine::new`] rejects
+/// the initial model or policy, or a restored checkpoint disagrees with
+/// the configuration. Individual connection failures are *not* errors —
 /// they are churn, accounted through the engine.
 pub fn serve(opts: &ServeOptions, recorder: &mut dyn Recorder) -> Result<ServeReport, FedError> {
     // A restarted server races the kernel's TIME_WAIT hold on its old
@@ -187,7 +380,7 @@ pub fn serve(opts: &ServeOptions, recorder: &mut dyn Recorder) -> Result<ServeRe
             Err(e)
                 if e.kind() == ErrorKind::AddrInUse && t0.elapsed() < Duration::from_secs(15) =>
             {
-                std::thread::sleep(Duration::from_millis(100));
+                thread::sleep(Duration::from_millis(100));
             }
             Err(e) => return Err(e.into()),
         }
@@ -212,7 +405,13 @@ pub fn serve_on(
             "the server needs at least one client slot".to_string(),
         ));
     }
-    listener.set_nonblocking(true)?;
+    // A zero timeout would expire every round before an upload could
+    // arrive, and std refuses it as a socket read or write timeout.
+    if opts.round_timeout.is_zero() {
+        return Err(FedError::InvalidConfig(
+            "the round timeout must be positive".to_string(),
+        ));
+    }
     let addr = listener.local_addr()?.to_string();
 
     let mut policy = EnginePolicy::from_config(&opts.config);
@@ -235,7 +434,7 @@ pub fn serve_on(
     }
     let wait_for = opts.wait_for.clamp(1, opts.slots);
 
-    let mut conns: Vec<Conn> = Vec::new();
+    let mut net = Sockets::start(listener, opts.round_timeout)?;
     // Uploads that arrived while no round was open (a client racing
     // ahead of the quorum wait); drained right after the next round
     // opens.
@@ -243,94 +442,8 @@ pub fn serve_on(
     let mut ledger = RoundLedger::default();
     let mut round_opened: Option<Instant> = None;
 
-    'rounds: while engine.rounds_run() < opts.rounds {
-        let mut moved = false;
-
-        // Admit new connections.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(true)?;
-                    let _ = stream.set_nodelay(true);
-                    conns.push(Conn {
-                        stream,
-                        reasm: FrameReassembler::new(),
-                        slot: None,
-                        dead: false,
-                    });
-                    moved = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) => return Err(e.into()),
-            }
-        }
-
-        // Pump every connection: read what the socket has, surface
-        // complete frames, feed them to the engine.
-        for conn in &mut conns {
-            let mut chunk = [0u8; 64 * 1024];
-            loop {
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.reasm.extend(&chunk[..n]);
-                        moved = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-            while !conn.dead {
-                match conn.reasm.next_frame() {
-                    Ok(Some(frame)) => {
-                        if !handle_frame(
-                            conn,
-                            frame,
-                            &mut engine,
-                            recorder,
-                            &mut parked,
-                            &mut ledger,
-                            opts.round_timeout,
-                        ) {
-                            conn.dead = true;
-                        }
-                    }
-                    Ok(None) => break,
-                    // Desynchronized or hostile stream; drop it.
-                    Err(_) => conn.dead = true,
-                }
-            }
-        }
-
-        // Reap dead connections: a joined client leaving mid-round is
-        // the fault plans' Offline for this round.
-        for conn in &mut conns {
-            if !conn.dead {
-                continue;
-            }
-            if let Some(slot) = conn.slot.take() {
-                // Its parked uploads leave with it: whoever holds the
-                // slot next must not be credited with them.
-                parked.retain(|&(s, _)| s != slot);
-                let open = engine.open_round();
-                if open.is_some() && engine.upload_pending(slot) {
-                    engine.handle(Frame::Offline { client: slot }, recorder);
-                }
-                recorder.event(Event::client_scoped(
-                    EventKind::ClientLeft,
-                    open.unwrap_or_else(|| engine.rounds_run()),
-                    slot,
-                ));
-                engine.leave(slot);
-            }
-        }
-        conns.retain(|c| !c.dead);
+    while engine.rounds_run() < opts.rounds {
+        net.reap(&mut engine, recorder, &mut parked);
 
         // Round management.
         if round_opened.is_none() {
@@ -351,7 +464,6 @@ pub fn serve_on(
                         );
                     }
                 }
-                moved = true;
             }
         }
         if let Some(t0) = round_opened {
@@ -362,7 +474,13 @@ pub fn serve_on(
             if expired || engine.pending_uploads() == 0 {
                 let round = engine.rounds_run() + 1;
                 engine.handle(Frame::CloseRound, recorder);
-                broadcast(&mut conns, round, &mut engine, recorder, opts.round_timeout);
+                broadcast(
+                    &mut net.conns,
+                    round,
+                    &mut engine,
+                    recorder,
+                    opts.round_timeout,
+                );
                 engine.handle(Frame::EndRound, recorder);
                 round_opened = None;
                 // Make the round's telemetry durable before the
@@ -374,14 +492,52 @@ pub fn serve_on(
                     engine.checkpoint().save(path)?;
                 }
                 if opts.halt_after == Some(engine.rounds_run()) {
-                    break 'rounds;
+                    break;
                 }
-                moved = true;
+                continue;
             }
         }
 
-        if !moved {
-            std::thread::sleep(IDLE_POLL);
+        // Block until the acceptor or a reader has something: a frame
+        // wakes the loop at once, and an open round's deadline bounds
+        // the wait.
+        let next = match round_opened {
+            Some(t0) => net
+                .inbox
+                .recv_timeout(opts.round_timeout.saturating_sub(t0.elapsed())),
+            None => net.inbox.recv().map_err(RecvTimeoutError::from),
+        };
+        match next {
+            Ok(Inbound::Accepted(id, stream)) => net.conns.push(Conn {
+                id,
+                stream,
+                slot: None,
+                dead: false,
+            }),
+            Ok(Inbound::Frame(id, frame)) => {
+                if let Some(conn) = net.conns.iter_mut().find(|c| c.id == id) {
+                    conn.dead = !handle_frame(
+                        conn,
+                        frame,
+                        &mut engine,
+                        recorder,
+                        &mut parked,
+                        &mut ledger,
+                        opts.round_timeout,
+                    );
+                }
+            }
+            Ok(Inbound::Closed(id)) => {
+                if let Some(conn) = net.conns.iter_mut().find(|c| c.id == id) {
+                    conn.dead = true;
+                }
+            }
+            Ok(Inbound::Failed(e)) => return Err(e.into()),
+            // The deadline passed: the next pass ticks it.
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => {
+                return Err(FedError::Io("the acceptor thread stopped".to_string()))
+            }
         }
     }
 
@@ -546,30 +702,30 @@ fn broadcast(
     }
 }
 
-/// Writes one length-prefixed frame on a nonblocking server socket,
-/// retrying `WouldBlock` (a momentarily full send buffer) with short
-/// sleeps. Fails with `TimedOut` once the frame has waited `budget`: a
-/// peer that stops reading fills its socket buffers, and the
-/// single-threaded loop must not wait on it forever.
-fn write_frame(stream: &mut TcpStream, frame: &[u8], budget: Duration) -> std::io::Result<()> {
+/// Writes one length-prefixed frame on a blocking server socket, each
+/// write waiting at most the budget left. Fails with `TimedOut` (or
+/// `WouldBlock`) once the frame has waited `budget` in all: a peer that
+/// stops reading fills its socket buffers, and the engine thread must not
+/// wait on it forever.
+fn write_frame(stream: &mut TcpStream, frame: &[u8], budget: Duration) -> io::Result<()> {
     let wire_bytes = prefix_frame(frame);
     let started = Instant::now();
     let mut written = 0;
     while written < wire_bytes.len() {
+        // A spent budget is a timeout; the socket would refuse a zero one.
+        let left = budget.saturating_sub(started.elapsed());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
         match stream.write(&wire_bytes[written..]) {
             Ok(0) => return Err(ErrorKind::WriteZero.into()),
             Ok(n) => written += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if started.elapsed() >= budget {
-                    return Err(ErrorKind::TimedOut.into());
-                }
-                std::thread::sleep(IDLE_POLL);
-            }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    stream.flush()
+    Ok(())
 }
 
 /// Configuration of one [`run_client`] session.
@@ -583,8 +739,10 @@ pub struct JoinOptions {
     pub steps_per_round: u64,
     /// Upload codec to encode round updates with.
     pub codec: wire::Codec,
-    /// Total budget for (re)connecting — covers both the initial
-    /// connection and re-joining across a server restart.
+    /// Budget for (re)joining, from the first attempt after the last
+    /// join ack — covers both the initial join and re-joining across a
+    /// server restart. A client that gets no join ack within it, because
+    /// the server is unreachable or keeps refusing the join, gives up.
     pub reconnect: Duration,
     /// How long one blocking read may wait before the client treats the
     /// connection as lost and re-joins. Must comfortably exceed the
@@ -611,7 +769,9 @@ impl JoinOptions {
 /// model it installed.
 ///
 /// Survives server restarts: on any connection failure the client
-/// re-joins (within `opts.reconnect`). The upload frames of the last two
+/// re-joins. `opts.reconnect` bounds each stretch without a join ack,
+/// from the first attempt after the last ack, and a refused join is
+/// retried after a short pause. The upload frames of the last two
 /// rounds it trained are cached, so a replayed round re-submits the
 /// *same* bytes instead of training twice — the property the
 /// checkpointed-resume bit-identity guarantee rests on. Two rounds
@@ -621,8 +781,8 @@ impl JoinOptions {
 ///
 /// # Errors
 ///
-/// [`FedError::Io`] when the server stays unreachable past the
-/// reconnect budget, and [`FedError::Wire`] /
+/// [`FedError::Io`] when the server stays unreachable, or refuses the
+/// join, past the reconnect budget, and [`FedError::Wire`] /
 /// [`FedError::CorruptUpdate`] when the server speaks a malformed
 /// protocol.
 pub fn run_client<C: FederatedClient>(
@@ -633,18 +793,29 @@ pub fn run_client<C: FederatedClient>(
     // The last trained frame per round parity: rounds r and r + 1 never
     // share an entry.
     let mut cached: [Option<(u64, Vec<u8>)>; 2] = [None, None];
+    // The first attempt since the last join ack: the reconnect budget
+    // runs from here.
+    let mut joining_since: Option<Instant> = None;
     'sessions: loop {
-        let mut stream = connect_retry(&opts.addr, opts.reconnect, opts.read_timeout)?;
+        let since = *joining_since.get_or_insert_with(Instant::now);
+        let mut stream = connect_retry(&opts.addr, since, opts.reconnect, opts.read_timeout)?;
         let mut reasm = FrameReassembler::new();
-        if stream
+        let acked = stream
             .write_all(&prefix_frame(&Envelope::join_request(slot as u64).encode()))
-            .is_err()
-        {
-            continue 'sessions;
-        }
-        let Ok(ack) = read_frame(&mut stream, &mut reasm) else {
+            .and_then(|()| read_frame(&mut stream, &mut reasm));
+        let Ok(ack) = acked else {
+            // Closed before the ack: a restarting server, a slot still
+            // held by a connection not yet reaped, or a refusal for good.
+            if since.elapsed() >= opts.reconnect {
+                return Err(FedError::Io(format!(
+                    "the server at {} refused the join of slot {slot} for {:?}",
+                    opts.addr, opts.reconnect
+                )));
+            }
+            thread::sleep(Duration::from_millis(50));
             continue 'sessions;
         };
+        joining_since = None;
         let env = Envelope::decode(&ack)?;
         let (mut completed, global) = match env.payload {
             Payload::JoinAck { params } => (env.round, params),
@@ -704,14 +875,14 @@ pub fn run_client<C: FederatedClient>(
     }
 }
 
-/// Connects with retries until `budget` elapses (the server may still be
-/// starting, or restarting after a crash).
+/// Connects with retries until `budget` has elapsed since `since` (the
+/// server may still be starting, or restarting after a crash).
 fn connect_retry(
     addr: &str,
+    since: Instant,
     budget: Duration,
     read_timeout: Duration,
 ) -> Result<TcpStream, FedError> {
-    let t0 = Instant::now();
     loop {
         match TcpStream::connect(addr) {
             Ok(stream) => {
@@ -720,12 +891,12 @@ fn connect_retry(
                 return Ok(stream);
             }
             Err(e) => {
-                if t0.elapsed() >= budget {
+                if since.elapsed() >= budget {
                     return Err(FedError::Io(format!(
                         "server at {addr} unreachable for {budget:?}: {e}"
                     )));
                 }
-                std::thread::sleep(Duration::from_millis(50));
+                thread::sleep(Duration::from_millis(50));
             }
         }
     }

@@ -7,8 +7,8 @@ use fedpower_agent::{ControllerConfig, DeviceEnvConfig};
 use fedpower_federated::engine::{EnginePolicy, Frame, RoundEngine};
 use fedpower_federated::wire as fedwire;
 use fedpower_federated::{
-    run_client, serve_on, AgentClient, Codec, Fault, FaultPlan, FedAvgConfig, FederatedClient,
-    Federation, JoinOptions, ModelUpdate, ServeOptions,
+    run_client, serve_on, AgentClient, Codec, Fault, FaultPlan, FedAvgConfig, FedError,
+    FederatedClient, Federation, JoinOptions, ModelUpdate, ServeOptions,
 };
 use fedpower_telemetry::{Event, EventKind, MemoryRecorder, Recorder};
 use fedpower_wire::stream::{prefix_frame, read_frame, FrameReassembler};
@@ -16,6 +16,7 @@ use fedpower_wire::{Envelope, MsgKind};
 use fedpower_workloads::AppId;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
@@ -84,8 +85,9 @@ impl Scripted {
     }
 }
 
-/// Lets the server's readiness loop observe whatever the script just did
-/// (sockets on loopback settle in microseconds; this is generous).
+/// Lets the server's reader threads pass whatever the script just did to
+/// its engine thread, in order (sockets on loopback settle in
+/// microseconds; this is generous).
 fn settle() {
     thread::sleep(Duration::from_millis(200));
 }
@@ -685,5 +687,209 @@ fn halted_server_resumes_bit_identically_after_restart() {
     assert_eq!(finals_a, finals_b);
     for f in &finals_b {
         assert_eq!(f, &resumed.global);
+    }
+}
+
+/// A dense round-`round` upload of `dim` copies of `value` from `client`.
+fn dense_upload(client: usize, round: u64, value: f32, dim: usize) -> Vec<u8> {
+    let update = ModelUpdate {
+        client_id: client,
+        params: vec![value; dim],
+        num_samples: 20,
+    };
+    fedwire::encode_upload_with(Codec::Dense32, round, &update, None)
+}
+
+/// Runs `serve_on` on a thread that reports its result down a channel,
+/// so a test can wait for it with a deadline instead of hanging.
+fn serve_in_background(
+    listener: TcpListener,
+    opts: ServeOptions,
+    recorder: &MemoryRecorder,
+) -> mpsc::Receiver<Result<fedpower_federated::ServeReport, FedError>> {
+    let (tx, rx) = mpsc::channel();
+    let mut rec = recorder.clone();
+    thread::spawn(move || {
+        let _ = tx.send(serve_on(listener, &opts, &mut rec));
+    });
+    rx
+}
+
+/// A client whose join is refused for good (its slot is out of range)
+/// gives up once its reconnect budget has passed without a join ack,
+/// instead of reconnecting forever.
+#[test]
+fn a_refused_join_gives_up_within_the_reconnect_budget() {
+    let dim = 4;
+    let (listener, addr) = bind();
+    let opts = ServeOptions::new(1, small_config(1), vec![0.25; dim]);
+    let served = serve_in_background(listener, opts, &MemoryRecorder::new());
+
+    let (tx, rx) = mpsc::channel();
+    {
+        let mut join = JoinOptions::new(addr.clone(), &small_config(1));
+        join.reconnect = Duration::from_millis(500);
+        thread::spawn(move || {
+            let mut client = agent(3, AppId::Fft, 1);
+            let _ = tx.send(run_client(&join, &mut client));
+        });
+    }
+    let outcome = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a refused client must give up within its reconnect budget");
+    assert!(
+        matches!(outcome, Err(FedError::Io(_))),
+        "a refused join is an I/O error: {outcome:?}"
+    );
+
+    // The server still runs its round for the slot it has.
+    let (mut c, _) = Scripted::join(&addr, 0);
+    c.send(&dense_upload(0, 1, 1.0, dim));
+    assert_eq!(c.recv().round, 1);
+    let report = served
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve_on returns")
+        .expect("serve");
+    assert_eq!(report.rounds_committed, 1);
+}
+
+/// A peer that connects and sends nothing is closed once it has been
+/// silent for a round timeout, even while the server is still waiting
+/// for its clients to join.
+#[test]
+fn a_silent_peer_is_closed_before_it_joins() {
+    let dim = 4;
+    let (listener, addr) = bind();
+    let mut opts = ServeOptions::new(1, small_config(1), vec![0.25; dim]);
+    opts.round_timeout = Duration::from_secs(2);
+    let served = serve_in_background(listener, opts, &MemoryRecorder::new());
+
+    let mut silent = TcpStream::connect(&addr).expect("connect");
+    silent
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut byte = [0u8; 1];
+    let read = silent.read(&mut byte);
+    assert!(
+        matches!(read, Ok(0)),
+        "a silent peer must read EOF, not {read:?}"
+    );
+
+    let (mut c, ack) = Scripted::join(&addr, 0);
+    assert_eq!(ack.round, 0);
+    c.send(&dense_upload(0, 1, 1.0, dim));
+    assert_eq!(c.recv().round, 1);
+    let report = served
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve_on returns")
+        .expect("serve");
+    assert_eq!(report.rounds_committed, 1);
+}
+
+/// A joined peer that writes half an upload and stops is closed once a
+/// round timeout passes with the partial frame buffered. It leaves its
+/// slot, and a fresh connection claims the slot and completes the round.
+#[test]
+fn a_peer_stalled_mid_frame_leaves_its_slot() {
+    let dim = 4;
+    let (listener, addr) = bind();
+    // Two slots: no round opens while the stalled peer is the only one
+    // joined, so the read timeout is the only deadline in play.
+    let mut opts = ServeOptions::new(2, small_config(1), vec![0.25; dim]);
+    opts.round_timeout = Duration::from_secs(2);
+    let recorder = MemoryRecorder::new();
+    let served = serve_in_background(listener, opts, &recorder);
+
+    let (mut stalled, ack) = Scripted::join(&addr, 0);
+    assert_eq!(ack.round, 0);
+    let wire = prefix_frame(&dense_upload(0, 1, 100.0, dim));
+    stalled
+        .stream
+        .write_all(&wire[..wire.len() / 2])
+        .expect("half an upload");
+    // Returns once the server closes the connection (or after the
+    // script's 10 s read timeout).
+    let mut byte = [0u8; 1];
+    let _ = stalled.stream.read(&mut byte);
+    let left = recorder
+        .events()
+        .iter()
+        .any(|e| e.kind == EventKind::ClientLeft && e.client == Some(0));
+    assert!(left, "a peer stalled mid-frame must leave its slot");
+
+    let (mut fresh, ack) = Scripted::join(&addr, 0);
+    assert_eq!(ack.round, 0, "the fresh connection claims slot 0");
+    let (mut other, _) = Scripted::join(&addr, 1);
+    fresh.send(&dense_upload(0, 1, 1.0, dim));
+    other.send(&dense_upload(1, 1, 3.0, dim));
+    assert_eq!(fresh.recv().round, 1);
+    assert_eq!(other.recv().round, 1);
+    let report = served
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve_on returns")
+        .expect("serve");
+    assert_eq!(
+        report.global,
+        vec![2.0; dim],
+        "the stalled half-upload is never admitted"
+    );
+    let churn: Vec<(EventKind, Option<usize>)> = recorder
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::ClientJoined | EventKind::ClientLeft))
+        .map(|e| (e.kind, e.client))
+        .collect();
+    assert_eq!(
+        churn,
+        vec![
+            (EventKind::ClientJoined, Some(0)),
+            (EventKind::ClientLeft, Some(0)),
+            (EventKind::ClientJoined, Some(0)),
+            (EventKind::ClientJoined, Some(1)),
+        ]
+    );
+}
+
+/// A zero round timeout is refused before the server accepts anything:
+/// every round would expire before an upload could arrive.
+#[test]
+fn a_zero_round_timeout_is_rejected() {
+    let (listener, _) = bind();
+    let mut opts = ServeOptions::new(1, small_config(1), vec![0.25; 4]);
+    opts.round_timeout = Duration::ZERO;
+    let served = serve_in_background(listener, opts, &MemoryRecorder::new())
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve_on must return instead of waiting for joins");
+    assert!(
+        matches!(served, Err(FedError::InvalidConfig(_))),
+        "{served:?}"
+    );
+}
+
+/// `serve_on` releases the listener it was handed before it returns,
+/// after a full run and after a `halt_after` exit alike: a later connect
+/// to its address is refused.
+#[test]
+fn serve_on_releases_its_listener() {
+    let dim = 4;
+    for halt_after in [None, Some(1)] {
+        let (listener, addr) = bind();
+        let mut opts = ServeOptions::new(1, small_config(2), vec![0.25; dim]);
+        opts.halt_after = halt_after;
+        let served = serve_in_background(listener, opts, &MemoryRecorder::new());
+        let (mut c, _) = Scripted::join(&addr, 0);
+        for round in 1..=halt_after.unwrap_or(2) {
+            c.send(&dense_upload(0, round, 1.0, dim));
+            assert_eq!(c.recv().round, round);
+        }
+        let report = served
+            .recv_timeout(Duration::from_secs(10))
+            .expect("serve_on returns")
+            .expect("serve");
+        assert_eq!(report.rounds_run, halt_after.unwrap_or(2));
+        assert!(
+            TcpStream::connect(&addr).is_err(),
+            "the listener outlived serve_on (halt_after {halt_after:?})"
+        );
     }
 }
