@@ -326,10 +326,8 @@ impl Mlp {
                         *o = d * wv;
                     }
                 }
-                let z = &ws.pre_acts[out_idx - 1];
-                for (dv, &zv) in prev.as_mut_slice().iter_mut().zip(z.as_slice()) {
-                    *dv *= self.hidden_activation.derivative(zv);
-                }
+                self.hidden_activation
+                    .backprop(prev.as_mut_slice(), ws.pre_acts[out_idx - 1].as_slice());
             }
         }
 
@@ -358,10 +356,8 @@ impl Mlp {
                 // delta_{l-1} = (delta_l · W_l) ⊙ act'(z_{l-1})
                 let (head, tail) = ws.deltas.split_at_mut(l);
                 tail[0].matmul_into(self.layers[l].weight_matrix(), &mut head[l - 1])?;
-                let z = &ws.pre_acts[l - 1];
-                for (d, &zv) in head[l - 1].as_mut_slice().iter_mut().zip(z.as_slice()) {
-                    *d *= self.hidden_activation.derivative(zv);
-                }
+                self.hidden_activation
+                    .backprop(head[l - 1].as_mut_slice(), ws.pre_acts[l - 1].as_slice());
             }
         }
 

@@ -1,19 +1,27 @@
 //! Kernel edge-shape properties.
 //!
-//! Pins the kernels' contracts on exactly the shapes a lane width gets
-//! wrong: 1×1, prime dimensions, zero-row batches, and widths straddling
-//! the 8-lane blocks. Two classes of assertion:
+//! Pins the kernels' contracts on exactly the shapes a register tile gets
+//! wrong: 1×1, prime dimensions, zero-row batches, row counts on both
+//! sides of the [`ROWS`]-row block, widths straddling the [`LANES`]-wide
+//! column tile, and the training step's own shapes. Two classes of
+//! assertion:
 //!
 //! * every product is **bit-identical** to a naive oracle with the same
-//!   summation order (the chunked restructure changed no rounding):
-//!   `matmul` to the seed's axpy triple loop, `t_matmul` to that loop on
-//!   an explicit transpose, `matmul_t` to a left-to-right dot per element;
-//! * NaN/∞ propagate (`0 · NaN`, `0 · ∞` must poison the affected output).
+//!   summation order (tiling changed no rounding): `matmul` to the seed's
+//!   axpy triple loop, `t_matmul` to that loop on an explicit transpose,
+//!   `matmul_t` to a left-to-right dot per element;
+//! * NaN/∞ propagate (`0 · NaN`, `0 · ∞` must poison the affected
+//!   output), in the ragged last column tile and in `B`'s last row, where
+//!   the kernel reads `B` from a padded copy of its tail, and never leak
+//!   into a neighbouring column.
+//!
+//! Every shape is walked deterministically; the whole file runs in a few
+//! seconds in a debug build.
 
+use fedpower_nn::kernels::{LANES, ROWS};
 use fedpower_nn::Matrix;
-use proptest::prelude::*;
 
-/// Deterministic pseudo-random fill (splitmix64-ish) in roughly [-2, 2].
+/// Deterministic pseudo-random fill (an LCG) in roughly [-2, 2].
 fn fill(len: usize, seed: u64) -> Vec<f32> {
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
     (0..len)
@@ -46,31 +54,6 @@ fn matmul_oracle(a: &Matrix, b: &Matrix) -> Vec<f32> {
     c
 }
 
-fn assert_bits_eq(lhs: &[f32], rhs: &[f32], what: &str) {
-    assert_eq!(lhs.len(), rhs.len(), "{what}: length");
-    for (i, (x, y)) in lhs.iter().zip(rhs).enumerate() {
-        assert!(
-            x.to_bits() == y.to_bits(),
-            "{what}: element {i} differs: {x} vs {y}"
-        );
-    }
-}
-
-/// Dimensions a lane width trips over: 1, primes off the 8-lane grid,
-/// exact multiples, one-off-a-multiple, and a couple of larger sizes.
-const EDGE_DIMS: &[usize] = &[1, 2, 3, 5, 7, 8, 9, 13, 15, 16, 17, 31, 32, 33];
-
-/// Row-major transpose of `m`.
-fn transpose(m: &Matrix) -> Matrix {
-    let mut t = Matrix::zeros(m.cols(), m.rows());
-    for i in 0..m.rows() {
-        for j in 0..m.cols() {
-            t.set(j, i, m.get(i, j));
-        }
-    }
-    t
-}
-
 /// `a · bᵀ` with every element a dot folded strictly left to right —
 /// the summation-order oracle for `matmul_t`.
 fn matmul_t_oracle(a: &Matrix, bt: &Matrix) -> Vec<f32> {
@@ -88,37 +71,120 @@ fn matmul_t_oracle(a: &Matrix, bt: &Matrix) -> Vec<f32> {
     c
 }
 
-proptest! {
-    /// `matmul` is bit-identical to the seed oracle on every edge shape.
-    #[test]
-    fn scalar_matmul_matches_oracle_on_edge_shapes(
-        mi in 0_usize..14, ki in 0_usize..14, ni in 0_usize..14, seed in 0_u64..1000
-    ) {
-        let (m, k, n) = (EDGE_DIMS[mi], EDGE_DIMS[ki], EDGE_DIMS[ni]);
-        let a = matrix(m, k, seed);
-        let b = matrix(k, n, seed ^ 0xabcd);
-        let oracle = matmul_oracle(&a, &b);
-        let c = a.matmul(&b).expect("shapes agree");
-        assert_bits_eq(c.as_slice(), &oracle, "scalar matmul vs oracle");
+/// Row-major transpose of `m`.
+fn transpose(m: &Matrix) -> Matrix {
+    let mut t = Matrix::zeros(m.cols(), m.rows());
+    for i in 0..m.rows() {
+        for j in 0..m.cols() {
+            t.set(j, i, m.get(i, j));
+        }
     }
+    t
+}
 
-    /// `t_matmul` is bit-identical to the oracle applied to an explicit
-    /// transpose, and `matmul_t` to a left-to-right dot per element, on
-    /// every edge shape.
-    #[test]
-    fn t_matmul_and_matmul_t_match_oracles_on_edge_shapes(
-        mi in 0_usize..14, ki in 0_usize..14, ni in 0_usize..14, seed in 0_u64..1000
-    ) {
-        let (m, k, n) = (EDGE_DIMS[mi], EDGE_DIMS[ki], EDGE_DIMS[ni]);
-        let at = matrix(k, m, seed.wrapping_add(7));
-        let b = matrix(k, n, seed ^ 0x1234);
-        let tmm = at.t_matmul(&b).expect("shapes agree");
-        assert_bits_eq(tmm.as_slice(), &matmul_oracle(&transpose(&at), &b), "t_matmul vs oracle");
+fn assert_bits_eq(lhs: &[f32], rhs: &[f32], what: &str) {
+    assert_eq!(lhs.len(), rhs.len(), "{what}: length");
+    for (i, (x, y)) in lhs.iter().zip(rhs).enumerate() {
+        assert!(
+            x.to_bits() == y.to_bits(),
+            "{what}: element {i} differs: {x} vs {y}"
+        );
+    }
+}
 
+/// Dimensions a tile trips over: 1, primes off the tile grid, exact
+/// multiples, one-off-a-multiple, and a couple of larger sizes.
+const EDGE_DIMS: &[usize] = &[1, 2, 3, 5, 7, 8, 9, 13, 15, 16, 17, 31, 32, 33];
+
+/// Every `(m, k, n)` over [`EDGE_DIMS`], with a seed per triple.
+fn edge_triples() -> impl Iterator<Item = (usize, usize, usize, u64)> {
+    EDGE_DIMS.iter().enumerate().flat_map(|(mi, &m)| {
+        EDGE_DIMS.iter().enumerate().flat_map(move |(ki, &k)| {
+            EDGE_DIMS
+                .iter()
+                .enumerate()
+                .map(move |(ni, &n)| (m, k, n, (mi * 196 + ki * 14 + ni) as u64))
+        })
+    })
+}
+
+/// Checks `matmul` on `m×k · k×n` against the axpy oracle.
+fn check_matmul(m: usize, k: usize, n: usize, seed: u64) {
+    let a = matrix(m, k, seed);
+    let b = matrix(k, n, seed ^ 0xabcd);
+    let c = a.matmul(&b).expect("shapes agree");
+    assert_bits_eq(
+        c.as_slice(),
+        &matmul_oracle(&a, &b),
+        &format!("matmul ({m}x{k})·({k}x{n})"),
+    );
+}
+
+/// Checks `t_matmul` on `(k×m)ᵀ · k×n` against the oracle on an explicit
+/// transpose.
+fn check_t_matmul(m: usize, k: usize, n: usize, seed: u64) {
+    let at = matrix(k, m, seed.wrapping_add(7));
+    let b = matrix(k, n, seed ^ 0x1234);
+    let c = at.t_matmul(&b).expect("shapes agree");
+    assert_bits_eq(
+        c.as_slice(),
+        &matmul_oracle(&transpose(&at), &b),
+        &format!("t_matmul ({k}x{m})ᵀ·({k}x{n})"),
+    );
+}
+
+/// `matmul` is bit-identical to the seed oracle on every edge shape.
+#[test]
+fn matmul_matches_oracle_on_every_edge_shape() {
+    for (m, k, n, seed) in edge_triples() {
+        check_matmul(m, k, n, seed);
+    }
+}
+
+/// `t_matmul` is bit-identical to the oracle applied to an explicit
+/// transpose, and `matmul_t` to a left-to-right dot per element, on
+/// every edge shape.
+#[test]
+fn t_matmul_and_matmul_t_match_oracles_on_every_edge_shape() {
+    for (m, k, n, seed) in edge_triples() {
+        check_t_matmul(m, k, n, seed);
         let a = matrix(m, k, seed);
         let bt = matrix(n, k, seed ^ 0x7777);
         let mmt = a.matmul_t(&bt).expect("shapes agree");
-        assert_bits_eq(mmt.as_slice(), &matmul_t_oracle(&a, &bt), "matmul_t vs oracle");
+        assert_bits_eq(
+            mmt.as_slice(),
+            &matmul_t_oracle(&a, &bt),
+            &format!("matmul_t ({m}x{k})·({n}x{k})ᵀ"),
+        );
+    }
+}
+
+/// The training step's own products on the paper's `[5, 32, 15]` network
+/// at batch 128: both forward layers, and the hidden layer's weight
+/// gradient.
+#[test]
+fn the_training_steps_shapes_match_the_oracle() {
+    check_matmul(128, 5, 32, 1);
+    check_matmul(128, 32, 15, 2);
+    check_t_matmul(5, 128, 32, 3);
+    // Single-row inference through both layers.
+    check_matmul(1, 5, 32, 4);
+    check_matmul(1, 32, 15, 5);
+}
+
+/// Row counts on both sides of one and two row blocks, so full blocks,
+/// leftover single rows, and blocks followed by leftovers all run, at
+/// widths below, at, and across one and two column tiles.
+#[test]
+fn row_counts_around_the_row_block_match_the_oracle() {
+    for m in 0..=2 * ROWS + 1 {
+        for n in [1, LANES - 1, LANES, LANES + 1, 2 * LANES - 1, 2 * LANES + 3] {
+            for k in [1, 3, 32] {
+                let seed = (m * 1_000 + n * 10 + k) as u64;
+                check_matmul(m, k, n, seed);
+                check_t_matmul(m, k, n, seed);
+            }
+        }
     }
 }
 
@@ -145,49 +211,71 @@ fn zero_row_batches_are_well_formed() {
     assert!(c.as_slice().iter().all(|&v| v == 0.0), "empty dots are 0");
 }
 
-#[test]
-fn nan_and_infinity_propagate() {
-    // Poison a column that only ever meets zero coefficients: IEEE-754
-    // demands 0 · NaN = NaN and 0 · ∞ = NaN. The poisoned columns sit past
-    // the 8-lane boundary so the sub-lane tail loop is on the hook too.
-    let k = 9;
-    let n = 11;
-    let mut a = Matrix::zeros(2, k);
-    for t in 0..k {
-        a.set(1, t, 0.5 + t as f32);
+/// Poisons `B` and checks that the poison reaches exactly the outputs
+/// whose sums include it. Row 0 of `A` is all zeros, where IEEE-754
+/// demands 0 · NaN = NaN and 0 · ∞ = NaN; the other rows are positive, so
+/// their poisoned outputs are NaN or ±∞. `(t, j, v)` puts `v` at
+/// `B[t][j]`.
+fn check_poison(m: usize, k: usize, n: usize, poison: &[(usize, usize, f32)]) {
+    let mut a = Matrix::zeros(m, k);
+    for i in 1..m {
+        for t in 0..k {
+            a.set(i, t, 0.5 + (i + t) as f32);
+        }
     }
     let mut b = matrix(k, n, 99);
-    b.set(3, 10, f32::NAN);
-    b.set(4, 9, f32::INFINITY);
-    let mut at = Matrix::zeros(k, 2);
-    for t in 0..k {
-        at.set(t, 1, 0.5 + t as f32);
+    for &(t, j, v) in poison {
+        b.set(t, j, v);
     }
-
     let mm = a.matmul(&b).expect("shapes agree");
-    let tmm = at.t_matmul(&b).expect("shapes agree");
-    let mmt = a
-        .matmul_t(&matrix(4, k, 5).into_poisoned())
-        .expect("shapes agree");
-    for c in [&mm, &tmm] {
-        assert!(c.get(0, 10).is_nan(), "0 · NaN must stay NaN");
-        assert!(c.get(0, 9).is_nan(), "0 · ∞ must become NaN");
-        assert!(c.get(1, 0).is_finite(), "clean columns stay finite");
+    let tmm = transpose(&a).t_matmul(&b).expect("shapes agree");
+    let oracle = matmul_oracle(&a, &b);
+    for (c, what) in [(&mm, "matmul"), (&tmm, "t_matmul")] {
+        let what = format!("{what} ({m}x{k})·({k}x{n}) poisoned at {poison:?}");
+        assert_bits_eq(c.as_slice(), &oracle, &what);
+        for j in 0..n {
+            let poisoned = poison.iter().any(|&(_, pj, _)| pj == j);
+            assert_eq!(c.get(0, j).is_nan(), poisoned, "{what}: (0, {j})");
+            for i in 1..m {
+                assert_eq!(c.get(i, j).is_finite(), !poisoned, "{what}: ({i}, {j})");
+            }
+        }
     }
+}
+
+#[test]
+fn nan_and_infinity_propagate() {
+    // One row block plus a leftover row, so both tile heights see it.
+    let m = ROWS + 1;
+    // The ragged last tile of a 15-wide output (one LANES-wide tile) and
+    // of a 2·LANES + 3-wide output (three tiles, the last 3 wide): the
+    // poison sits in its last column, in a middle row (read straight from
+    // `B`) and in `B`'s last row (read from the padded tail).
+    for (k, n) in [(9, 15), (32, 15), (9, 2 * LANES + 3), (1, 15), (2, 7)] {
+        let last = n - 1;
+        check_poison(m, k, n, &[(k / 2, last, f32::NAN)]);
+        check_poison(m, k, n, &[(k - 1, last, f32::NAN)]);
+        check_poison(m, k, n, &[(k - 1, last, f32::INFINITY)]);
+        check_poison(m, k, n, &[(k / 2, last - 1, f32::INFINITY)]);
+        // Column 0 of `B`'s last row: the read-on lanes of the row above
+        // see it, and must drop it.
+        check_poison(m, k, n, &[(k - 1, 0, f32::NAN)]);
+        check_poison(m, k, n, &[(k - 1, 0, f32::NEG_INFINITY)]);
+    }
+
+    // matmul_t: row 0 of `a` is all zeros, and B's element (0, 0) is NaN.
+    let mut a = Matrix::zeros(2, 9);
+    for t in 0..9 {
+        a.set(1, t, 0.5 + t as f32);
+    }
+    let mut bt = matrix(4, 9, 5);
+    bt.set(0, 0, f32::NAN);
+    let mmt = a.matmul_t(&bt).expect("shapes agree");
     assert!(mmt.get(0, 0).is_nan(), "matmul_t: 0 · NaN must stay NaN");
-}
-
-/// Helper: poison element (0, 0) of a matrix with NaN behind a zero
-/// coefficient row (row 0 of `a` above is all zeros).
-trait Poison {
-    fn into_poisoned(self) -> Matrix;
-}
-
-impl Poison for Matrix {
-    fn into_poisoned(mut self) -> Matrix {
-        self.set(0, 0, f32::NAN);
-        self
-    }
+    assert!(
+        mmt.get(0, 1).is_finite(),
+        "matmul_t: clean columns stay finite"
+    );
 }
 
 #[test]
