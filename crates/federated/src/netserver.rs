@@ -22,11 +22,20 @@
 //! 1. A client connects and sends a join request naming its slot. A
 //!    request for a slot another connection holds is refused by closing
 //!    the newcomer, and so is a second join on a connection that already
-//!    holds a slot.
+//!    holds a slot. The exception is a holder that has *lapsed*: it was
+//!    still pending when a round closed at its deadline, and has sent no
+//!    frame since that round opened (a device that lost power sends no
+//!    FIN, so its socket can stay open for hours). A join for a lapsed
+//!    holder's slot reaps the holder like a closed connection, then
+//!    proceeds.
 //! 2. The server replies with a join ack carrying `(rounds_completed, θ)`
 //!    — a freshly started experiment acks round 0, a restarted server
 //!    acks wherever its checkpoint left off.
 //! 3. The client trains round `rounds_completed + 1` locally and uploads.
+//!    An upload stamped with a round that is not open yet is parked until
+//!    that round opens: at most one frame per slot and round, and none
+//!    stamped more than two rounds past the last completed one, further
+//!    ahead than any legitimate client can be.
 //! 4. When every joined client's upload has resolved — or the round
 //!    deadline expires, closing out stragglers via [`RoundEngine::tick`]
 //!    — the server commits, checkpoints, broadcasts the new global, and
@@ -160,6 +169,12 @@ struct Conn {
     stream: TcpStream,
     slot: Option<usize>,
     dead: bool,
+    /// Whether it has sent a frame since the last round opened.
+    heard: bool,
+    /// Whether its slot has lapsed: it was still pending when a round
+    /// closed at its deadline, and has sent no frame since that round
+    /// opened. A join for a lapsed slot takes it over.
+    lapsed: bool,
 }
 
 /// What the acceptor and the readers send the engine thread.
@@ -226,7 +241,7 @@ impl Sockets {
         &mut self,
         engine: &mut RoundEngine,
         recorder: &mut dyn Recorder,
-        parked: &mut Vec<(usize, Vec<u8>)>,
+        ledger: &mut RoundLedger,
     ) {
         self.conns.retain(|conn| {
             if !conn.dead {
@@ -235,7 +250,7 @@ impl Sockets {
             if let Some(slot) = conn.slot {
                 // Its parked uploads leave with it: whoever holds the
                 // slot next must not be credited with them.
-                parked.retain(|&(s, _)| s != slot);
+                ledger.parked.retain(|&(s, _, _)| s != slot);
                 let open = engine.open_round();
                 if open.is_some() && engine.upload_pending(slot) {
                     engine.handle(Frame::Offline { client: slot }, recorder);
@@ -252,6 +267,26 @@ impl Sockets {
             let _ = conn.stream.shutdown(Shutdown::Both);
             false
         });
+    }
+
+    /// Reaps the holder of `slot` like a closed connection if it has
+    /// lapsed, so that a join for the slot can proceed: a device that
+    /// lost power sends no FIN, and TCP may keep its socket for hours.
+    fn evict_lapsed(
+        &mut self,
+        slot: usize,
+        engine: &mut RoundEngine,
+        recorder: &mut dyn Recorder,
+        ledger: &mut RoundLedger,
+    ) {
+        if let Some(holder) = self
+            .conns
+            .iter_mut()
+            .find(|c| c.slot == Some(slot) && c.lapsed)
+        {
+            holder.dead = true;
+            self.reap(engine, recorder, ledger);
+        }
     }
 }
 
@@ -347,12 +382,18 @@ fn read_loop(id: u64, mut stream: TcpStream, tx: &Sender<Inbound>) {
     let _ = tx.send(Inbound::Closed(id));
 }
 
-/// Per-round driver state the engine deliberately does not own: which
-/// slots already had an upload fed in (a reconnecting client re-sends
-/// its cached round upload; the duplicate must not be admitted twice).
+/// Per-round driver state the engine deliberately does not own.
 #[derive(Default)]
 struct RoundLedger {
+    /// Slots that already had an upload fed in this round (a reconnecting
+    /// client re-sends its cached round upload; the duplicate must not be
+    /// admitted twice).
     fed: BTreeSet<usize>,
+    /// Uploads that arrived while no round they fit was open (a client
+    /// racing ahead of the quorum wait), in arrival order as
+    /// `(slot, stamped round, frame)`; drained right after the next round
+    /// opens. [`park`] bounds it to two frames per slot.
+    parked: Vec<(usize, u64, Vec<u8>)>,
 }
 
 /// Runs the standalone federation server until `opts.rounds` rounds have
@@ -435,15 +476,11 @@ pub fn serve_on(
     let wait_for = opts.wait_for.clamp(1, opts.slots);
 
     let mut net = Sockets::start(listener, opts.round_timeout)?;
-    // Uploads that arrived while no round was open (a client racing
-    // ahead of the quorum wait); drained right after the next round
-    // opens.
-    let mut parked: Vec<(usize, Vec<u8>)> = Vec::new();
     let mut ledger = RoundLedger::default();
     let mut round_opened: Option<Instant> = None;
 
     while engine.rounds_run() < opts.rounds {
-        net.reap(&mut engine, recorder, &mut parked);
+        net.reap(&mut engine, recorder, &mut ledger);
 
         // Round management.
         if round_opened.is_none() {
@@ -452,16 +489,12 @@ pub fn serve_on(
                 engine.handle(Frame::BeginRound, recorder);
                 round_opened = Some(Instant::now());
                 ledger.fed.clear();
-                for (slot, bytes) in std::mem::take(&mut parked) {
+                for conn in &mut net.conns {
+                    conn.heard = false;
+                }
+                for (slot, origin, bytes) in std::mem::take(&mut ledger.parked) {
                     if engine.joined(slot) {
-                        dispatch_upload(
-                            slot,
-                            bytes,
-                            &mut engine,
-                            recorder,
-                            &mut parked,
-                            &mut ledger,
-                        );
+                        dispatch_upload(slot, origin, bytes, &mut engine, recorder, &mut ledger);
                     }
                 }
             }
@@ -469,6 +502,10 @@ pub fn serve_on(
         if let Some(t0) = round_opened {
             let expired = t0.elapsed() >= opts.round_timeout;
             if expired {
+                for conn in &mut net.conns {
+                    let pending = conn.slot.is_some_and(|s| engine.upload_pending(s));
+                    conn.lapsed |= pending && !conn.heard;
+                }
                 engine.tick(recorder);
             }
             if expired || engine.pending_uploads() == 0 {
@@ -513,15 +550,25 @@ pub fn serve_on(
                 stream,
                 slot: None,
                 dead: false,
+                heard: false,
+                lapsed: false,
             }),
             Ok(Inbound::Frame(id, frame)) => {
+                let env = Envelope::decode(&frame).ok();
+                if let Some(conn) = net.conns.iter_mut().find(|c| c.id == id) {
+                    conn.heard = true;
+                    conn.lapsed = false;
+                }
+                if let Some(env) = env.as_ref().filter(|e| e.kind() == MsgKind::JoinRequest) {
+                    net.evict_lapsed(env.client_id as usize, &mut engine, recorder, &mut ledger);
+                }
                 if let Some(conn) = net.conns.iter_mut().find(|c| c.id == id) {
                     conn.dead = !handle_frame(
                         conn,
                         frame,
+                        env,
                         &mut engine,
                         recorder,
-                        &mut parked,
                         &mut ledger,
                         opts.round_timeout,
                     );
@@ -550,19 +597,20 @@ pub fn serve_on(
     })
 }
 
-/// Processes one complete frame from `conn`, giving a reply at most
+/// Processes one complete frame from `conn` (`env` is its decoded
+/// envelope, `None` when it does not decode), giving a reply at most
 /// `write_budget` to go out. Returns `false` when the connection violated
 /// the protocol or stalled, and should be dropped.
 fn handle_frame(
     conn: &mut Conn,
     frame: Vec<u8>,
+    env: Option<Envelope>,
     engine: &mut RoundEngine,
     recorder: &mut dyn Recorder,
-    parked: &mut Vec<(usize, Vec<u8>)>,
     ledger: &mut RoundLedger,
     write_budget: Duration,
 ) -> bool {
-    let Ok(env) = Envelope::decode(&frame) else {
+    let Some(env) = env else {
         // A structurally broken frame from an identified, not-yet-fed
         // connection still reaches the engine (when a round is open) so
         // the rejection is accounted; anything else is simply dropped.
@@ -588,6 +636,7 @@ fn handle_frame(
             // A slot held by a live connection is not up for grabs: the
             // newcomer is closed before any ack or engine frame. A client
             // reconnecting before its old connection was reaped retries.
+            // (A holder that had lapsed was reaped before this frame.)
             // A connection holds at most one slot, since only its last
             // one would be reaped when it closes.
             if conn.slot.is_some() || slot >= engine.client_count() || engine.joined(slot) {
@@ -619,7 +668,7 @@ fn handle_frame(
             let Some(slot) = conn.slot else {
                 return false; // uploads before the join handshake
             };
-            dispatch_upload(slot, frame, engine, recorder, parked, ledger);
+            dispatch_upload(slot, env.round, frame, engine, recorder, ledger);
             true
         }
         // Clients never send acks or broadcasts.
@@ -627,20 +676,20 @@ fn handle_frame(
     }
 }
 
-/// Routes an upload frame to the right engine admission path: fresh for
-/// the open round, staleness-discounted when it trained against an
-/// earlier round, parked when no round it fits is open yet. Re-sent
-/// duplicates (a client re-joining mid-round re-submits its cached
-/// upload) are dropped — the engine already folded the first copy.
+/// Routes an upload frame stamped with round `origin` to the right
+/// engine admission path: fresh for the open round, staleness-discounted
+/// when it trained against an earlier round, parked when no round it
+/// fits is open yet. Re-sent duplicates (a client re-joining mid-round
+/// re-submits its cached upload) are dropped — the engine already folded
+/// the first copy.
 fn dispatch_upload(
     slot: usize,
+    origin: u64,
     bytes: Vec<u8>,
     engine: &mut RoundEngine,
     recorder: &mut dyn Recorder,
-    parked: &mut Vec<(usize, Vec<u8>)>,
     ledger: &mut RoundLedger,
 ) {
-    let origin = Envelope::decode(&bytes).map(|e| e.round).unwrap_or(0);
     match engine.open_round() {
         Some(_) if ledger.fed.contains(&slot) => {}
         Some(round) if origin == round || origin == 0 => {
@@ -667,7 +716,40 @@ fn dispatch_upload(
         }
         // origin > round (a replayed-round race) or no round open: hold
         // the frame until its round opens.
-        _ => parked.push((slot, bytes)),
+        _ => park(&mut ledger.parked, slot, origin, bytes, engine.rounds_run()),
+    }
+}
+
+/// Holds an upload stamped with round `origin` until a round it fits
+/// opens, keeping at most two frames per slot: one for the next round
+/// (`rounds_run + 1`) and one for the round after.
+///
+/// - A frame stamped further ahead than `rounds_run + 2` is dropped: no
+///   legitimate client is ever there. The server never broadcasts round
+///   `r + 1` before it has saved round `r`, so a client holding broadcast
+///   `r` faces a server that has run at least `r − 1` rounds, even one
+///   restarted from its last checkpoint, and trains at most `r + 1`.
+/// - A stale stamp counts as the next round's: the next round admits one
+///   upload per slot, the first one that arrived.
+/// - A later frame for a round the slot already has parked is dropped,
+///   as a duplicate would be in the open round.
+fn park(
+    parked: &mut Vec<(usize, u64, Vec<u8>)>,
+    slot: usize,
+    origin: u64,
+    bytes: Vec<u8>,
+    rounds_run: u64,
+) {
+    let next = rounds_run + 1;
+    if origin > next + 1 {
+        return;
+    }
+    let round = origin.max(next);
+    if !parked
+        .iter()
+        .any(|&(s, o, _)| s == slot && o.max(next) == round)
+    {
+        parked.push((slot, origin, bytes));
     }
 }
 

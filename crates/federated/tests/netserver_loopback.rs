@@ -753,6 +753,100 @@ fn a_refused_join_gives_up_within_the_reconnect_budget() {
     assert_eq!(report.rounds_committed, 1);
 }
 
+/// A client that floods the server with uploads stamped far ahead of any
+/// round a legitimate client can be in gets none of them parked: the
+/// round they name later admits the client's own upload. (Parking them
+/// held every frame in memory until that round, and the first of them
+/// then took the client's place in it.)
+#[test]
+fn a_flood_of_uploads_stamped_ahead_is_not_parked() {
+    let dim = 4;
+    let (listener, addr) = bind();
+    let opts = ServeOptions::new(1, small_config(5), vec![0.25; dim]);
+    let served = serve_in_background(listener, opts, &MemoryRecorder::new());
+
+    // Round 1 opens as slot 0 joins; no legitimate upload is stamped
+    // past round 2 yet.
+    let (mut c, _) = Scripted::join(&addr, 0);
+    let flood = prefix_frame(&dense_upload(0, 5, 100.0, dim));
+    let burst: Vec<u8> = (0..20_000).flat_map(|_| flood.iter().copied()).collect();
+    c.stream.write_all(&burst).expect("flood");
+    for round in 1..=5 {
+        c.send(&dense_upload(0, round, round as f32, dim));
+        assert_eq!(c.recv().round, round);
+    }
+    let report = served
+        .recv_timeout(Duration::from_secs(30))
+        .expect("serve_on returns")
+        .expect("serve");
+    assert_eq!(report.rounds_committed, 5);
+    assert_eq!(
+        report.global,
+        vec![5.0; dim],
+        "round 5 must commit the client's own upload, not a flood frame"
+    );
+}
+
+/// A joined device that goes silent without closing its connection (a
+/// board that lost power sends no FIN) holds its slot only until it has
+/// lapsed. Once a round has closed at its deadline with the holder still
+/// pending and silent, a join for the slot reaps the holder and proceeds,
+/// and later rounds commit with the new client's uploads.
+#[test]
+fn a_lapsed_holder_is_replaced_by_a_new_join() {
+    let config = small_config(8);
+    let dim = agent(0, AppId::Fft, 1).upload().params.len();
+    let (listener, addr) = bind();
+    let mut opts = ServeOptions::new(1, config, vec![0.0; dim]);
+    opts.round_timeout = Duration::from_secs(1);
+    let recorder = MemoryRecorder::new();
+    let served = serve_in_background(listener, opts, &recorder);
+
+    // The holder runs round 1, then stays connected and silent: round 2
+    // waits for it until its deadline.
+    let (mut holder, _) = Scripted::join(&addr, 0);
+    holder.send(&dense_upload(0, 1, 1.0, dim));
+    assert_eq!(holder.recv().round, 1);
+
+    let (tx, rx) = mpsc::channel();
+    {
+        let mut join = JoinOptions::new(addr, &config);
+        // Longer than a round, shorter than the seven rounds the server
+        // would run without the replacement.
+        join.reconnect = Duration::from_secs(3);
+        thread::spawn(move || {
+            let mut client = agent(0, AppId::Fft, 2);
+            let _ = tx.send(run_client(&join, &mut client));
+        });
+    }
+    rx.recv_timeout(Duration::from_secs(30))
+        .expect("the replacement finishes")
+        .expect("the replacement joins slot 0");
+    let report = served
+        .recv_timeout(Duration::from_secs(30))
+        .expect("serve_on returns")
+        .expect("serve");
+    assert!(
+        report.rounds_committed >= 2,
+        "rounds after the holder lapsed commit the replacement's uploads: {report:?}"
+    );
+    let churn: Vec<(EventKind, Option<usize>)> = recorder
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::ClientJoined | EventKind::ClientLeft))
+        .map(|e| (e.kind, e.client))
+        .collect();
+    assert_eq!(
+        churn,
+        vec![
+            (EventKind::ClientJoined, Some(0)),
+            (EventKind::ClientLeft, Some(0)),
+            (EventKind::ClientJoined, Some(0)),
+        ]
+    );
+    drop(holder);
+}
+
 /// A peer that connects and sends nothing is closed once it has been
 /// silent for a round timeout, even while the server is still waiting
 /// for its clients to join.
