@@ -1,6 +1,6 @@
 use crate::client::ModelUpdate;
 use crate::error::FedError;
-use crate::exact::ExactSum;
+use crate::exact::{ExactSum, LaneSums};
 use fedpower_nn::average_params;
 use serde::{Deserialize, Serialize};
 
@@ -585,9 +585,10 @@ impl OptBlobCursor<'_> {
 #[derive(Debug, Clone, PartialEq)]
 enum AccMode {
     /// Mean-based strategies: exact running sums, O(1) memory in client
-    /// count. The sums are [`ExactSum`]s, so the folded state — and the
-    /// model committed from it — is bit-independent of admission order
-    /// and of how the round was partitioned into shards.
+    /// count. The sums are exact integers ([`ExactSum`]s, the moments in
+    /// `f64` lanes where those hold them exactly), so the folded state —
+    /// and the model committed from it — is bit-independent of admission
+    /// order and of how the round was partitioned into shards.
     Streaming {
         /// `Σ (wᵢ·θᵢ − θᵢ)` over the admitted updates whose explicit
         /// (staleness) weight `wᵢ` is not 1, with `wᵢ·θᵢ` saturated to the
@@ -637,9 +638,9 @@ pub struct RoundAccumulator {
     expected_len: usize,
     /// Per-coordinate `Σ θᵢⱼ`, unweighted: the divergence metric's first
     /// moment and, at unit weights, the streamed sum of the mean.
-    sum: Vec<ExactSum>,
+    sum: LaneSums,
     /// Per-coordinate `Σ θᵢⱼ²`.
-    sumsq: Vec<ExactSum>,
+    sumsq: LaneSums,
 }
 
 impl RoundAccumulator {
@@ -681,8 +682,8 @@ impl RoundAccumulator {
             all_unit: true,
             admitted: 0,
             expected_len,
-            sum: vec![ExactSum::ZERO; expected_len],
-            sumsq: vec![ExactSum::ZERO; expected_len],
+            sum: LaneSums::zeroed(expected_len),
+            sumsq: LaneSums::zeroed(expected_len),
         }
     }
 
@@ -718,13 +719,11 @@ impl RoundAccumulator {
                 reason: format!("non-finite value {} at index {i}", update.params[i]),
             });
         }
-        for ((s, q), &p) in self.sum.iter_mut().zip(&mut self.sumsq).zip(&update.params) {
-            s.add(p);
-            // p is finite (admission), but p² can overflow f32; saturate so
-            // the drift moment degrades gracefully instead of poisoning the
-            // exact sum.
-            q.add((p * p).min(f32::MAX));
-        }
+        self.sum.add(&update.params, |p| p);
+        // p is finite (admission), but p² can overflow f32; saturate so the
+        // drift moment degrades gracefully instead of poisoning the exact
+        // sum.
+        self.sumsq.add(&update.params, |p| (p * p).min(f32::MAX));
         self.all_unit &= weight == 1.0;
         self.admitted += 1;
         match &mut self.mode {
@@ -829,12 +828,8 @@ impl RoundAccumulator {
                 })
             }
         }
-        for (a, b) in self.sum.iter_mut().zip(&other.sum) {
-            a.merge(b);
-        }
-        for (a, b) in self.sumsq.iter_mut().zip(&other.sumsq) {
-            a.merge(b);
-        }
+        self.sum.merge(other.sum);
+        self.sumsq.merge(other.sumsq);
         self.all_unit &= other.all_unit;
         self.admitted += other.admitted;
         Ok(())
@@ -861,11 +856,11 @@ impl RoundAccumulator {
         }
         let m = self.admitted as f64;
         let mut total = 0.0_f64;
-        for (s, q) in self.sum.iter().zip(&self.sumsq) {
-            let mean = s.to_f64() / m;
+        for j in 0..self.expected_len {
+            let mean = self.sum.to_f64(j) / m;
             // Catastrophic cancellation can take the variance a hair
             // negative; clamp rather than emit NaN.
-            total += (q.to_f64() - m * mean * mean).max(0.0);
+            total += (self.sumsq.to_f64(j) - m * mean * mean).max(0.0);
         }
         (total / m).sqrt() as f32
     }
@@ -891,11 +886,11 @@ impl RoundAccumulator {
                         )));
                     }
                     // Σ wᵢ·θᵢ = Σ θᵢ + Σ (wᵢ·θᵢ − θᵢ), an exact integer sum.
-                    return Ok(self
-                        .sum
-                        .into_iter()
-                        .zip(&correction)
-                        .map(|(mut s, c)| {
+                    return Ok(correction
+                        .iter()
+                        .enumerate()
+                        .map(|(j, c)| {
+                            let mut s = self.sum.settled(j);
                             s.merge(c);
                             (s.to_f64() / total) as f32
                         })
@@ -910,7 +905,9 @@ impl RoundAccumulator {
                     // Uniform, or SampleWeighted's zero-sample fallback.
                     _ => {
                         let n = self.admitted as f64;
-                        self.sum.iter().map(|s| (s.to_f64() / n) as f32).collect()
+                        (0..self.expected_len)
+                            .map(|j| (self.sum.to_f64(j) / n) as f32)
+                            .collect()
                     }
                 })
             }

@@ -1,7 +1,7 @@
 //! Property-based tests of the aggregation rules' formal guarantees.
 
 use fedpower_federated::{
-    AggregationServer, AggregationStrategy, FedError, ModelUpdate, RoundAccumulator,
+    AggregationServer, AggregationStrategy, ExactSum, FedError, ModelUpdate, RoundAccumulator,
 };
 use proptest::prelude::*;
 
@@ -30,6 +30,93 @@ fn models(n_models: usize, len: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
         prop::collection::vec(-10.0_f32..10.0, len..=len),
         n_models..=n_models,
     )
+}
+
+/// A parameter drawn to make the accumulator's `f64` lanes spill: every
+/// exponent and sign, subnormals, zeros of both signs, ±`f32::MAX` (whose
+/// square saturates) and parameter-sized values.
+fn spread_value(kind: u32, bits: u32) -> f32 {
+    match kind {
+        0 | 1 => {
+            let v = f32::from_bits(bits);
+            if v.is_finite() {
+                v
+            } else {
+                f32::MAX.copysign(v)
+            }
+        }
+        2 => f32::from_bits(bits & 0x807f_ffff),
+        3 => [0.0, -0.0, f32::MAX, f32::MIN][bits as usize % 4],
+        _ => bits as f32 / u32::MAX as f32 - 0.5,
+    }
+}
+
+/// `n` models of `len` spread values; where `mirror[i]` names an earlier
+/// model, model `i` is its exact negation instead.
+fn spread_models(n: usize, len: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
+    (
+        prop::collection::vec(
+            prop::collection::vec((0_u32..6, 0_u32..=u32::MAX), len..=len),
+            n..=n,
+        ),
+        prop::collection::vec(0_usize..2 * n, n..=n),
+    )
+        .prop_map(|(raw, mirror)| {
+            let mut models: Vec<Vec<f32>> = Vec::with_capacity(raw.len());
+            for (i, row) in raw.iter().enumerate() {
+                let model = match mirror[i] {
+                    k if k < i => models[k].iter().map(|v| -v).collect(),
+                    _ => row
+                        .iter()
+                        .map(|&(kind, bits)| spread_value(kind, bits))
+                        .collect(),
+                };
+                models.push(model);
+            }
+            models
+        })
+}
+
+/// What a per-value [`ExactSum`] fold of the same admissions reads out:
+/// the committed model and the divergence, as `RoundAccumulator` defines
+/// them.
+fn per_value_fold(models: &[Vec<f32>], weights: &[f32]) -> (Vec<f32>, f32) {
+    let len = models[0].len();
+    let (mut sum, mut sumsq) = (vec![ExactSum::ZERO; len], vec![ExactSum::ZERO; len]);
+    let mut correction = vec![ExactSum::ZERO; len];
+    let mut total_weight = ExactSum::ZERO;
+    for (model, &w) in models.iter().zip(weights) {
+        for (j, &p) in model.iter().enumerate() {
+            sum[j].add(p);
+            sumsq[j].add((p * p).min(f32::MAX));
+            if w != 1.0 {
+                correction[j].add((w * p).clamp(f32::MIN, f32::MAX));
+                correction[j].add(-p);
+            }
+        }
+        total_weight.add(w);
+    }
+    let m = models.len() as f64;
+    let mut total = 0.0_f64;
+    for (s, q) in sum.iter().zip(&sumsq) {
+        let mean = s.to_f64() / m;
+        total += (q.to_f64() - m * mean * mean).max(0.0);
+    }
+    let divergence = (total / m).sqrt() as f32;
+    let global = if weights.iter().all(|&w| w == 1.0) {
+        sum.iter().map(|s| (s.to_f64() / m) as f32).collect()
+    } else {
+        let total = total_weight.to_f64();
+        sum.iter()
+            .zip(&correction)
+            .map(|(s, c)| {
+                let mut s = *s;
+                s.merge(c);
+                (s.to_f64() / total) as f32
+            })
+            .collect()
+    };
+    (global, divergence)
 }
 
 proptest! {
@@ -264,6 +351,76 @@ proptest! {
                 "coordinate {} differs beyond quantization: dense {} vs mixed {}",
                 i, d, m
             );
+        }
+    }
+}
+
+proptest! {
+    /// Admission stays exact when the per-coordinate values span many
+    /// binades, so that the accumulator's `f64` lanes keep spilling into
+    /// their exact limbs: a flat fold and forward, reverse and tree merges
+    /// of shards hold the same accumulator, and read out the divergence and
+    /// the committed model bit for bit as a per-value [`ExactSum`] fold of
+    /// the same admissions does.
+    #[test]
+    fn wide_spread_rounds_match_the_per_value_fold(
+        (models, assignment, stale) in (2_usize..12, 1_usize..20).prop_flat_map(|(n, len)| (
+            spread_models(n, len),
+            prop::collection::vec(0_usize..4, n..=n),
+            prop::collection::vec(0_usize..4, n..=n),
+        )),
+    ) {
+        let len = models[0].len();
+        // A quarter of the updates are stale, at half weight.
+        let weights: Vec<f32> = stale.iter().map(|&s| if s == 0 { 0.5 } else { 1.0 }).collect();
+        let fold = |members: &[usize]| {
+            let mut acc = RoundAccumulator::for_model(AggregationStrategy::Uniform, len);
+            for &i in members {
+                acc.admit(update(i, models[i].clone(), 1), weights[i]).expect("finite update");
+            }
+            acc
+        };
+        let shard = |s: usize| {
+            fold(&(0..models.len()).filter(|&i| assignment[i] == s).collect::<Vec<_>>())
+        };
+        let flat = fold(&(0..models.len()).collect::<Vec<_>>());
+        let merged = |order: [usize; 4]| {
+            let mut acc = RoundAccumulator::for_model(AggregationStrategy::Uniform, len);
+            for s in order {
+                acc.merge(shard(s)).expect("same shape and strategy");
+            }
+            acc
+        };
+        let mut tree = shard(0);
+        tree.merge(shard(1)).expect("same shape and strategy");
+        let mut right = shard(2);
+        right.merge(shard(3)).expect("same shape and strategy");
+        tree.merge(right).expect("same shape and strategy");
+
+        let (expected_global, expected_divergence) = per_value_fold(&models, &weights);
+        for (label, acc) in [
+            ("flat", flat.clone()),
+            ("forward", merged([0, 1, 2, 3])),
+            ("reverse", merged([3, 2, 1, 0])),
+            ("tree", tree),
+        ] {
+            prop_assert_eq!(&acc, &flat, "{} accumulator state", label);
+            prop_assert_eq!(
+                acc.divergence().to_bits(),
+                expected_divergence.to_bits(),
+                "{} divergence bits",
+                label
+            );
+            let mut server = AggregationServer::new(vec![0.0; len], AggregationStrategy::Uniform);
+            let global = server.commit_round(acc).expect("positive weights commit");
+            for (j, (a, b)) in global.iter().zip(&expected_global).enumerate() {
+                prop_assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{} coordinate {}: {} vs {}",
+                    label, j, a, b
+                );
+            }
         }
     }
 }
