@@ -118,17 +118,39 @@ impl PowerController {
     /// Panics if the configuration is degenerate (zero actions, zero batch
     /// size, zero optimization interval).
     pub fn new(config: ControllerConfig, seed: u64) -> Self {
+        PowerController::with_net(config, seed, |dims| {
+            Mlp::new(
+                dims,
+                Activation::Relu,
+                fedpower_sim::rng::derive_seed(seed, streams::NN_INIT),
+            )
+        })
+    }
+
+    /// [`PowerController::new`] with an all-zero network instead of the
+    /// seeded weight draw, for a caller that installs a model with
+    /// [`PowerController::set_params`] before the controller acts — a
+    /// fleet client downloads the global right after it is built. The
+    /// draw has its own stream (`NN_INIT`), so exploration and replay
+    /// sampling draw exactly as under `new` with the same seed.
+    ///
+    /// # Panics
+    ///
+    /// As [`PowerController::new`].
+    pub fn zeroed(config: ControllerConfig, seed: u64) -> Self {
+        PowerController::with_net(config, seed, |dims| Mlp::zeroed(dims, Activation::Relu))
+    }
+
+    /// The controller around the network `net` builds for the
+    /// configuration's layer widths, with its streams derived from `seed`.
+    fn with_net(config: ControllerConfig, seed: u64, net: impl FnOnce(&[usize]) -> Mlp) -> Self {
         assert!(config.num_actions > 0, "need at least one action");
         assert!(config.batch_size > 0, "batch size must be nonzero");
         assert!(
             config.optim_interval > 0,
             "optimization interval must be nonzero"
         );
-        let net = Mlp::new(
-            &config.network_dims(),
-            Activation::Relu,
-            fedpower_sim::rng::derive_seed(seed, streams::NN_INIT),
-        );
+        let net = net(&config.network_dims());
         let optimizer = Adam::new(config.learning_rate, net.num_params());
         PowerController {
             replay: ReplayBuffer::new(config.replay_capacity),
@@ -510,6 +532,31 @@ mod tests {
         assert_ne!(a.predict_rewards(&s), b.predict_rewards(&s));
         b.set_params(&a.params()).unwrap();
         assert_eq!(a.predict_rewards(&s), b.predict_rewards(&s));
+    }
+
+    #[test]
+    fn zeroed_controller_acts_as_new_does_after_a_download() {
+        let cfg = ControllerConfig {
+            optim_interval: 4,
+            batch_size: 8,
+            ..ControllerConfig::paper()
+        };
+        let global = PowerController::new(cfg, 99).params();
+        let mut drawn = PowerController::new(cfg, 7);
+        let mut zeroed = PowerController::zeroed(cfg, 7);
+        assert!(zeroed.params().iter().all(|&p| p == 0.0));
+        drawn.set_params(&global).unwrap();
+        zeroed.set_params(&global).unwrap();
+        // Exploration and replay sampling draw alike, so training does.
+        for step in 0..40 {
+            let s = state((step % 10) as f32 / 10.0);
+            let action = drawn.select_action(&s);
+            assert_eq!(zeroed.select_action(&s), action, "step {step}");
+            drawn.observe(&s, action, 0.1 * (step % 7) as f64);
+            zeroed.observe(&s, action, 0.1 * (step % 7) as f64);
+        }
+        assert_eq!(drawn.updates(), 10);
+        assert_eq!(zeroed.params(), drawn.params());
     }
 
     #[test]

@@ -294,10 +294,12 @@ impl FleetClientFactory for DeviceFleetFactory {
         self.initial.clone()
     }
 
+    /// The client's network starts zeroed, not drawn: the fleet installs
+    /// the model the client holds with `download` right after this call.
     fn materialize(&self, id: usize, round: u64) -> AgentClient {
         let apps = [Self::app_for(id)];
         let seed = derive_seed(derive_seed(self.cfg.seed, 20 + id as u64), round);
-        AgentClient::new(
+        AgentClient::zeroed(
             id,
             client_controller(&self.cfg),
             device_env(&apps, &self.cfg),

@@ -137,8 +137,34 @@ impl AgentClient {
         env_config: DeviceEnvConfig,
         seed: u64,
     ) -> Self {
+        AgentClient::build(id, controller, env_config, seed, PowerController::new)
+    }
+
+    /// [`AgentClient::new`] with the controller's network zeroed instead
+    /// of drawn ([`PowerController::zeroed`]), for a client whose first
+    /// act is a download: the fleet builds a client per round and
+    /// installs the model it holds right away. Every other part of the
+    /// client, its random streams included, is as `new` builds it.
+    pub fn zeroed(
+        id: usize,
+        controller: ControllerConfig,
+        env_config: DeviceEnvConfig,
+        seed: u64,
+    ) -> Self {
+        AgentClient::build(id, controller, env_config, seed, PowerController::zeroed)
+    }
+
+    /// The client whose controller `agent` builds from the controller
+    /// configuration and the client's controller seed.
+    fn build(
+        id: usize,
+        controller: ControllerConfig,
+        env_config: DeviceEnvConfig,
+        seed: u64,
+        agent: fn(ControllerConfig, u64) -> PowerController,
+    ) -> Self {
         let mut env = DeviceEnv::new(env_config, derive_seed(seed, 200 + id as u64));
-        let agent = PowerController::new(controller, derive_seed(seed, 300 + id as u64));
+        let agent = agent(controller, derive_seed(seed, 300 + id as u64));
         let last_obs = env.bootstrap();
         AgentClient {
             id,
@@ -295,6 +321,24 @@ mod tests {
         a.train_round(50);
         b.train_round(50);
         assert_ne!(a.upload().params, b.upload().params);
+    }
+
+    #[test]
+    fn a_zeroed_client_trains_as_a_new_one_after_a_download() {
+        let global = client(9, 0).upload().params;
+        let mut drawn = client(2, 8);
+        let mut zeroed = AgentClient::zeroed(
+            2,
+            ControllerConfig::paper(),
+            DeviceEnvConfig::new(&[AppId::Fft, AppId::Lu]),
+            8,
+        );
+        drawn.download(&global);
+        zeroed.download(&global);
+        drawn.train_round(60);
+        zeroed.train_round(60);
+        assert_eq!(zeroed.agent().updates(), 3);
+        assert_eq!(zeroed.upload(), drawn.upload());
     }
 
     #[test]

@@ -53,23 +53,50 @@ impl Mlp {
     ///
     /// Panics if fewer than two dims are given or any dim is zero.
     pub fn new(dims: &[usize], hidden_activation: Activation, seed: u64) -> Self {
+        Mlp::with_layers(dims, hidden_activation, |i, w, is_output| {
+            let layer_seed = seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(i as u64);
+            if is_output {
+                Linear::new_xavier(w[0], w[1], layer_seed)
+            } else {
+                Linear::new(w[0], w[1], layer_seed)
+            }
+        })
+    }
+
+    /// [`Mlp::new`] with every weight and bias zero instead of drawn, for
+    /// a network whose parameters are overwritten before use (a model
+    /// about to be downloaded, or one read from bytes). Each layer's draw
+    /// seeds its own generator, so skipping it leaves every other random
+    /// stream as it was.
+    ///
+    /// # Panics
+    ///
+    /// As [`Mlp::new`].
+    pub fn zeroed(dims: &[usize], hidden_activation: Activation) -> Self {
+        Mlp::with_layers(dims, hidden_activation, |_, w, _| {
+            Linear::zeroed(w[0], w[1])
+        })
+    }
+
+    /// The network over `dims` whose layer `i` (`[in, out]` widths, and
+    /// whether it is the output layer) `layer` builds.
+    fn with_layers(
+        dims: &[usize],
+        hidden_activation: Activation,
+        mut layer: impl FnMut(usize, &[usize], bool) -> Linear,
+    ) -> Self {
         assert!(
             dims.len() >= 2,
             "an MLP needs at least input and output dims"
         );
         assert!(dims.iter().all(|&d| d > 0), "layer widths must be nonzero");
-        let mut layers = Vec::with_capacity(dims.len() - 1);
-        for (i, w) in dims.windows(2).enumerate() {
-            let layer_seed = seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(i as u64);
-            let is_output = i == dims.len() - 2;
-            layers.push(if is_output {
-                Linear::new_xavier(w[0], w[1], layer_seed)
-            } else {
-                Linear::new(w[0], w[1], layer_seed)
-            });
-        }
+        let layers: Vec<Linear> = dims
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| layer(i, w, i == dims.len() - 2))
+            .collect();
         let n_params = layers.iter().map(Linear::num_params).sum();
         Mlp {
             layers,
@@ -534,7 +561,7 @@ impl Mlp {
             dims.push(d as usize);
             off += 4;
         }
-        let mut net = Mlp::new(&dims, activation, 0);
+        let mut net = Mlp::zeroed(&dims, activation);
         let expect = net.num_params();
         if bytes.len() != off + expect * 4 {
             return Err(NnError::Deserialize(format!(
@@ -620,6 +647,16 @@ mod tests {
         assert_ne!(a.params(), b.params());
         b.set_params(&a.params()).unwrap();
         assert_eq!(a.params(), b.params());
+    }
+
+    #[test]
+    fn zeroed_network_equals_the_drawn_one_once_its_params_are_installed() {
+        let drawn = paper_net(5);
+        let mut zeroed = Mlp::zeroed(&[5, 32, 15], Activation::Relu);
+        assert_eq!(zeroed.dims(), drawn.dims());
+        assert!(zeroed.params().iter().all(|&p| p == 0.0));
+        zeroed.set_params(&drawn.params()).unwrap();
+        assert_eq!(zeroed, drawn);
     }
 
     #[test]
