@@ -32,10 +32,11 @@
 //!    — a freshly started experiment acks round 0, a restarted server
 //!    acks wherever its checkpoint left off.
 //! 3. The client trains round `rounds_completed + 1` locally and uploads.
-//!    An upload stamped with a round that is not open yet is parked until
-//!    that round opens: at most one frame per slot and round, and none
-//!    stamped more than two rounds past the last completed one, further
-//!    ahead than any legitimate client can be.
+//!    A round takes at most one fresh and one stale upload per slot. An
+//!    upload stamped with a round that is not open yet is parked until
+//!    that round opens: at most one fresh and one stale frame per slot and
+//!    round, and none stamped more than two rounds past the last completed
+//!    one, further ahead than any legitimate client can be.
 //! 4. When every joined client's upload has resolved — or the round
 //!    deadline expires, closing out stragglers via [`RoundEngine::tick`]
 //!    — the server commits, checkpoints, broadcasts the new global, and
@@ -385,14 +386,19 @@ fn read_loop(id: u64, mut stream: TcpStream, tx: &Sender<Inbound>) {
 /// Per-round driver state the engine deliberately does not own.
 #[derive(Default)]
 struct RoundLedger {
-    /// Slots that already had an upload fed in this round (a reconnecting
-    /// client re-sends its cached round upload; the duplicate must not be
-    /// admitted twice).
+    /// Slots that already had a fresh upload fed in this round (a
+    /// reconnecting client re-sends its cached round upload; the
+    /// duplicate must not be admitted twice).
     fed: BTreeSet<usize>,
+    /// Slots that already had a stale upload (trained against an earlier
+    /// round) fed in this round. Gated apart from `fed`: a late upload
+    /// must not shadow the slot's fresh one, which the round still waits
+    /// for.
+    fed_stale: BTreeSet<usize>,
     /// Uploads that arrived while no round they fit was open (a client
     /// racing ahead of the quorum wait), in arrival order as
     /// `(slot, stamped round, frame)`; drained right after the next round
-    /// opens. [`park`] bounds it to two frames per slot.
+    /// opens. [`park`] bounds it to three frames per slot.
     parked: Vec<(usize, u64, Vec<u8>)>,
 }
 
@@ -489,6 +495,7 @@ pub fn serve_on(
                 engine.handle(Frame::BeginRound, recorder);
                 round_opened = Some(Instant::now());
                 ledger.fed.clear();
+                ledger.fed_stale.clear();
                 for conn in &mut net.conns {
                     conn.heard = false;
                 }
@@ -679,9 +686,11 @@ fn handle_frame(
 /// Routes an upload frame stamped with round `origin` to the right
 /// engine admission path: fresh for the open round, staleness-discounted
 /// when it trained against an earlier round, parked when no round it
-/// fits is open yet. Re-sent duplicates (a client re-joining mid-round
-/// re-submits its cached upload) are dropped — the engine already folded
-/// the first copy.
+/// fits is open yet. A round feeds at most one fresh and one stale upload
+/// per slot, as [`crate::Federation`] feeds a round's fresh uploads and
+/// then each link's late ones; re-sent duplicates (a client re-joining
+/// mid-round re-submits its cached upload) are dropped — the engine
+/// already folded the first copy.
 fn dispatch_upload(
     slot: usize,
     origin: u64,
@@ -691,6 +700,17 @@ fn dispatch_upload(
     ledger: &mut RoundLedger,
 ) {
     match engine.open_round() {
+        Some(round) if is_stale(origin, round) => {
+            if ledger.fed_stale.insert(slot) {
+                engine.handle(
+                    Frame::StaleBytes {
+                        client: slot,
+                        bytes,
+                    },
+                    recorder,
+                );
+            }
+        }
         Some(_) if ledger.fed.contains(&slot) => {}
         Some(round) if origin == round || origin == 0 => {
             ledger.fed.insert(slot);
@@ -704,35 +724,32 @@ fn dispatch_upload(
                 recorder,
             );
         }
-        Some(round) if origin < round => {
-            ledger.fed.insert(slot);
-            engine.handle(
-                Frame::StaleBytes {
-                    client: slot,
-                    bytes,
-                },
-                recorder,
-            );
-        }
         // origin > round (a replayed-round race) or no round open: hold
         // the frame until its round opens.
         _ => park(&mut ledger.parked, slot, origin, bytes, engine.rounds_run()),
     }
 }
 
+/// Whether an upload stamped with round `origin` is stale in `round`: it
+/// trained against an earlier round. An unstamped upload (`origin` 0)
+/// counts as fresh.
+fn is_stale(origin: u64, round: u64) -> bool {
+    origin != 0 && origin < round
+}
+
 /// Holds an upload stamped with round `origin` until a round it fits
-/// opens, keeping at most two frames per slot: one for the next round
-/// (`rounds_run + 1`) and one for the round after.
+/// opens, keeping at most three frames per slot: a stale one and a fresh
+/// one for the next round (`rounds_run + 1`), and one for the round
+/// after.
 ///
 /// - A frame stamped further ahead than `rounds_run + 2` is dropped: no
 ///   legitimate client is ever there. The server never broadcasts round
 ///   `r + 1` before it has saved round `r`, so a client holding broadcast
 ///   `r` faces a server that has run at least `r − 1` rounds, even one
 ///   restarted from its last checkpoint, and trains at most `r + 1`.
-/// - A stale stamp counts as the next round's: the next round admits one
-///   upload per slot, the first one that arrived.
-/// - A later frame for a round the slot already has parked is dropped,
-///   as a duplicate would be in the open round.
+/// - A later frame for a round and kind (stale or fresh) that the slot
+///   already has parked is dropped, as a duplicate would be in the open
+///   round.
 fn park(
     parked: &mut Vec<(usize, u64, Vec<u8>)>,
     slot: usize,
@@ -745,9 +762,10 @@ fn park(
         return;
     }
     let round = origin.max(next);
+    let stale = is_stale(origin, next);
     if !parked
         .iter()
-        .any(|&(s, o, _)| s == slot && o.max(next) == round)
+        .any(|&(s, o, _)| s == slot && o.max(next) == round && is_stale(o, next) == stale)
     {
         parked.push((slot, origin, bytes));
     }

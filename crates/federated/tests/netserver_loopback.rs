@@ -847,6 +847,56 @@ fn a_lapsed_holder_is_replaced_by_a_new_join() {
     drop(holder);
 }
 
+/// A slot's late upload for the previous round and then its fresh upload
+/// reach one open round: the round admits both, the late one at its
+/// staleness discount, and commits as soon as the fresh one arrives.
+/// (Gated together, the fresh upload was dropped as a duplicate of the
+/// stale one, and the round waited out its deadline with the slot marked
+/// offline.)
+#[test]
+fn a_stale_upload_does_not_shadow_the_same_slots_fresh_one() {
+    let dim = 4;
+    let (listener, addr) = bind();
+    let mut opts = ServeOptions::new(1, small_config(2), vec![0.25; dim]);
+    opts.round_timeout = Duration::from_secs(8);
+    let recorder = MemoryRecorder::new();
+    let served = serve_in_background(listener, opts, &recorder);
+
+    let (mut c, _) = Scripted::join(&addr, 0);
+    c.send(&dense_upload(0, 1, 1.0, dim));
+    assert_eq!(c.recv().round, 1);
+    // Round 2 is open: a late copy of the round-1 upload, then round 2's.
+    let sent = std::time::Instant::now();
+    c.send(&dense_upload(0, 1, 1.0, dim));
+    c.send(&dense_upload(0, 2, 2.0, dim));
+    assert_eq!(c.recv().round, 2);
+    let waited = sent.elapsed();
+    let report = served
+        .recv_timeout(Duration::from_secs(30))
+        .expect("serve_on returns")
+        .expect("serve");
+    let round_2: Vec<EventKind> = recorder
+        .events()
+        .iter()
+        .filter(|e| e.round == 2 && e.client == Some(0))
+        .map(|e| e.kind)
+        .collect();
+    assert!(
+        round_2.contains(&EventKind::StaleApplied) && round_2.contains(&EventKind::UploadAdmitted),
+        "round 2 must admit both uploads of slot 0: {round_2:?}"
+    );
+    assert!(
+        waited < Duration::from_secs(4),
+        "round 2 waited {waited:?}, toward its 8 s deadline"
+    );
+    // The discounted 1.0 and the fresh 2.0 both reach the commit.
+    assert!(
+        report.global.iter().all(|&g| 1.0 < g && g < 2.0),
+        "{:?}",
+        report.global
+    );
+}
+
 /// A peer that connects and sends nothing is closed once it has been
 /// silent for a round timeout, even while the server is still waiting
 /// for its clients to join.
