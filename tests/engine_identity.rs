@@ -2,7 +2,7 @@
 //!
 //! Each case runs a seeded chaos-faulted federation (or fleet) with a
 //! [`MemoryRecorder`], canonicalizes everything observable — the full
-//! telemetry event stream, every non-pool counter, the per-round client
+//! telemetry event stream, every counter, the per-round client
 //! divergence bits, and the final global model bits — and checks the
 //! CRC32 of that canonical string against a golden constant captured from
 //! the pre-engine `Federation::run_round` / `Fleet::run_round` code.
@@ -11,9 +11,8 @@
 //! arithmetic of the original drivers: any refactor that reorders an
 //! emission, changes a byte count, or perturbs the aggregation arithmetic
 //! fails here before it can silently drift the determinism suites.
-//! (Wall-clock spans and the machine-dependent `pool_*` counters are
-//! excluded; `PhaseTimings` compares equal by design for the same
-//! reason.)
+//! (Wall-clock spans are excluded; `PhaseTimings` compares equal by
+//! design for the same reason.)
 
 mod common;
 
@@ -26,9 +25,9 @@ use fedpower::federated::{
 use fedpower::telemetry::MemoryRecorder;
 use fedpower::wire::crc32;
 
-/// Canonicalizes a finished run: events, non-pool counters, per-round
-/// divergence bits, final global bits — everything the engine refactor
-/// must preserve, nothing wall-clock.
+/// Canonicalizes a finished run: events, counters, per-round divergence
+/// bits, final global bits — everything the engine refactor must
+/// preserve, nothing wall-clock.
 fn canonicalize(recorder: &MemoryRecorder, reports: &[RoundReport], global: &[f32]) -> String {
     let mut out = String::new();
     for e in recorder.events() {
@@ -41,10 +40,6 @@ fn canonicalize(recorder: &MemoryRecorder, reports: &[RoundReport], global: &[f3
         ));
     }
     for c in recorder.counters() {
-        // Pool dispatch shape depends on the host's core count.
-        if c.name.starts_with("pool_") {
-            continue;
-        }
         out.push_str(&format!(
             "C {} {} {:?} {}\n",
             c.name, c.round, c.client, c.value
