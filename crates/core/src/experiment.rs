@@ -167,15 +167,29 @@ fn federation_loop(
     reports
 }
 
-/// Builds the scenario's federation over in-process links, injecting a
-/// seed-deterministic [`FaultPlan`] into the links when the fault
-/// scenario asks for one, and handing `recorder` the federation's
-/// telemetry stream.
+/// Builds the scenario's federation over in-process links, one client
+/// per device, injecting a seed-deterministic [`FaultPlan`] into the links
+/// when the fault scenario asks for one, and handing `recorder` the
+/// federation's telemetry stream. Every federated runner builds its
+/// federation here, so each honors [`ExperimentConfig::fault_scenario`].
 fn build_federation(
-    clients: Vec<AgentClient>,
+    scenario: &Scenario,
     cfg: &ExperimentConfig,
     recorder: Box<dyn Recorder>,
 ) -> Federation<AgentClient> {
+    let clients: Vec<AgentClient> = scenario
+        .devices()
+        .into_iter()
+        .enumerate()
+        .map(|(d, apps)| {
+            AgentClient::new(
+                d,
+                client_controller(cfg),
+                device_env(apps, cfg),
+                derive_seed(cfg.seed, 20 + d as u64),
+            )
+        })
+        .collect();
     let rounds = cfg.fedavg.rounds;
     let num_devices = clients.len();
     let seed = derive_seed(cfg.seed, 30);
@@ -219,25 +233,10 @@ pub fn run_federated_recorded(
     cfg: &ExperimentConfig,
     recorder: Box<dyn Recorder>,
 ) -> FederatedOutcome {
-    let clients: Vec<AgentClient> = scenario
-        .devices()
-        .into_iter()
-        .enumerate()
-        .map(|(d, apps)| {
-            AgentClient::new(
-                d,
-                client_controller(cfg),
-                device_env(apps, cfg),
-                derive_seed(cfg.seed, 20 + d as u64),
-            )
-        })
-        .collect();
-    let num_devices = clients.len();
-    let mut series: Vec<EvalSeries> = (0..num_devices)
+    let mut federation = build_federation(scenario, cfg, recorder);
+    let mut series: Vec<EvalSeries> = (0..federation.clients().len())
         .map(|d| EvalSeries::new(format!("federated-{}", (b'A' + d as u8) as char)))
         .collect();
-
-    let mut federation = build_federation(clients, cfg, recorder);
     let reports = federation_loop(&mut federation, cfg, &mut series);
     let agents = federation
         .clients()
@@ -436,21 +435,11 @@ pub fn run_table3(cfg: &ExperimentConfig) -> MethodComparison {
 
 /// Trains a federated policy without per-round evaluation (used where only
 /// the final policy matters) and returns the global controller.
+///
+/// It runs the same federation as [`run_federated`], faults included, and
+/// returns client 0's final model: [`run_federated`]'s `agents[0]`.
 pub fn run_federated_training_only(scenario: &Scenario, cfg: &ExperimentConfig) -> PowerController {
-    let clients: Vec<AgentClient> = scenario
-        .devices()
-        .into_iter()
-        .enumerate()
-        .map(|(d, apps)| {
-            AgentClient::new(
-                d,
-                client_controller(cfg),
-                device_env(apps, cfg),
-                derive_seed(cfg.seed, 20 + d as u64),
-            )
-        })
-        .collect();
-    let mut federation = Federation::new(clients, cfg.fedavg, derive_seed(cfg.seed, 30));
+    let mut federation = build_federation(scenario, cfg, Box::new(NullRecorder));
     federation.run();
     federation.clients()[0].agent().clone()
 }
@@ -477,20 +466,7 @@ pub fn run_personalized(
     cfg: &ExperimentConfig,
     fine_tune_rounds: u64,
 ) -> PersonalizedOutcome {
-    let clients: Vec<AgentClient> = scenario
-        .devices()
-        .into_iter()
-        .enumerate()
-        .map(|(d, apps)| {
-            AgentClient::new(
-                d,
-                client_controller(cfg),
-                device_env(apps, cfg),
-                derive_seed(cfg.seed, 20 + d as u64),
-            )
-        })
-        .collect();
-    let mut federation = Federation::new(clients, cfg.fedavg, derive_seed(cfg.seed, 30));
+    let mut federation = build_federation(scenario, cfg, Box::new(NullRecorder));
     federation.run();
     let global = federation.clients()[0].agent().clone();
 
@@ -668,6 +644,27 @@ mod tests {
             );
         }
         assert_eq!(out.series[0].points.len(), 6, "every round evaluates");
+    }
+
+    #[test]
+    fn training_only_runs_honor_the_fault_scenario() {
+        fn bits(agent: &PowerController) -> Vec<u32> {
+            agent.params().iter().map(|p| p.to_bits()).collect()
+        }
+        let scenario = &table2_scenarios()[0];
+        let mut cfg = tiny_cfg();
+        cfg.fedavg.rounds = 6;
+        let trained = bits(&run_federated_training_only(scenario, &cfg));
+        assert_eq!(trained, bits(&run_federated(scenario, &cfg).agents[0]));
+        assert_eq!(trained, bits(&run_personalized(scenario, &cfg, 0).global));
+
+        // Client 0 of the same faulty federation in both runners.
+        cfg.fault_scenario = FaultScenario::Chaos;
+        assert_eq!(
+            bits(&run_federated_training_only(scenario, &cfg)),
+            bits(&run_federated(scenario, &cfg).agents[0]),
+            "a training-only run must inject the configured faults"
+        );
     }
 
     fn tiny_fleet_cfg(clients: usize, shards: usize) -> ExperimentConfig {
