@@ -20,10 +20,8 @@
 //! run a federation additionally honor `--telemetry off|summary|jsonl:<path>`
 //! to stream the federation's structured event log.
 //!
-//! Two std-only benches (`cargo bench -p fedpower-bench --bench hotpath`
-//! and `--bench fleet`) time the training, inference, commit and codec
-//! hot paths and a sharded fleet round, and write `BENCH_hotpath.json` /
-//! `BENCH_fleet.json`.
+//! Timing lives in the separate `perfbench` package (`perfbench/README.md`),
+//! which runs whole federated rounds and breaks them down by layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

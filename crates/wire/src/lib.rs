@@ -1395,6 +1395,15 @@ mod tests {
         assert_eq!(Codec::Q16.upload_frame_len(n), 1427);
         assert_eq!(Codec::TopK { frac: 0.1 }.upload_frame_len(n), 609);
         assert_eq!(Codec::TopK { frac: 0.05 }.upload_frame_len(n), 337);
+        let dense = Codec::Dense32.upload_frame_len(n) as f64;
+        assert!(
+            Codec::Q8.upload_frame_len(n) as f64 <= dense / 3.5,
+            "q8 must stay within 2/7 of dense bytes (pure int8 caps the win at 4x)"
+        );
+        assert!(
+            Codec::TopK { frac: 0.05 }.upload_frame_len(n) as f64 <= dense / 8.0,
+            "topk:0.05 must deliver at least the 8x byte reduction"
+        );
     }
 
     #[test]
